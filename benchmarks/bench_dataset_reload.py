@@ -33,7 +33,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from bench_campaign_hotpath import make_config
+from benchutil import make_config
 
 from repro.analysis import registry
 from repro.analysis.summaries import PASSIVE_ANALYSES, render_summary

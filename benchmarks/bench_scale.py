@@ -3,18 +3,15 @@
 Two cell families, every cell measured in its own subprocess (peak RSS
 is a per-process high-water mark):
 
-* ``epoch-<ring_scale>`` — builds the epoch-compiled campaign plan at
-  ring_scale 0.1 / 0.3 / 1.0 on the paper's 30-minute schedule, twice:
-  materialized (every (VP, address) epoch list up front) and streamed
-  (``EpochCampaignPlan(streamed=True)``, epochs per emitted chunk).
-  Both emit the same opening chunks and must report identical collector
-  summaries.  Each child samples its own RSS after the platform build
-  (the floor) and after plan construction, so the cell attributes
-  memory to the *plan* — the part the streamed path changes; emission
-  (collector rows, allocator high-water) is identical either way.
-  Streamed plan memory must sit well under materialized plan memory,
-  and a chunk-size sweep (same rounds emitted at every chunk size)
-  shows the retained state is O(chunk), not O(campaign).
+* ``epoch-<ring_scale>`` — builds the epoch-compiled campaign plan
+  (:class:`~repro.vantage.epoch_engine.EpochCampaignPlan`, which streams
+  each pair's epochs per emitted chunk) at ring_scale 0.1 / 0.3 / 1.0 on
+  the paper's 30-minute schedule and emits the opening chunks.  The
+  child samples its own RSS after the platform build (the floor) and
+  after plan construction, so the cell attributes memory to the *plan*;
+  ``--max-epoch-plan-rss-kb`` gates it.  A chunk-size sweep (same rounds
+  emitted at every chunk size) shows the retained state is O(chunk),
+  not O(campaign).
 
 * ``passive-<clients>`` — 3 000 / 100 000 / 1 000 000 clients through a
   week-long daily ISP capture.  ``indexed`` uses the paper-scale path
@@ -30,9 +27,9 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_scale.py                  # full matrix
     PYTHONPATH=src python benchmarks/bench_scale.py \
         --cells epoch-0.3,passive-100000 \
-        --max-epoch-rss-fraction 0.5 --min-passive-speedup 5.0       # CI smoke
+        --max-epoch-plan-rss-kb 29204 --min-passive-speedup 5.0      # CI smoke
 
-Exits non-zero on a summary mismatch or a failed gate.
+Exits non-zero on a failed gate.
 """
 
 from __future__ import annotations
@@ -61,7 +58,7 @@ CLIENT_COUNTS = (3_000, 100_000, 1_000_000)
 #: path; the RSS signal is the plan itself.
 EPOCH_CHUNK = 64
 EPOCH_ROUNDS = 128
-#: The streamed O(chunk) sweep (run at ring_scale 0.3) emits this many
+#: The O(chunk) sweep (run at ring_scale 0.3) emits this many
 #: rounds at each chunk size — same collector growth per run, so the
 #: only RSS variable left is the per-chunk epoch buffer.
 SWEEP_CHUNKS = (16, 64, 256)
@@ -90,7 +87,7 @@ def _vmrss_kb() -> int:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
 
-def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
+def epoch_child(ring_scale: float, chunk: int, rounds: int) -> int:
     from dataclasses import replace
 
     from repro.core.config import StudyConfig
@@ -111,7 +108,6 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
         platform_artifacts.prober,
         platform_artifacts.vps,
         platform_artifacts.schedule,
-        streamed=(mode == "streamed"),
     )
     build_seconds = time.perf_counter() - started
     plan_kb = max(0, _vmrss_kb() - floor_kb)  # retained by the plan itself
@@ -119,9 +115,7 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
         plan.emit_range(lo, min(lo + chunk, rounds))
     wall = time.perf_counter() - started
 
-    collector = platform_artifacts.prober.collector
     print(json.dumps({
-        "mode": mode,
         "chunk": chunk,
         "rounds_emitted": rounds,
         "vps": len(platform_artifacts.vps),
@@ -130,7 +124,6 @@ def epoch_child(ring_scale: float, mode: str, chunk: int, rounds: int) -> int:
         "wall_seconds": round(wall, 2),
         "floor_rss_kb": floor_kb,
         "plan_rss_kb": plan_kb,
-        "summary": collector.summary(),
         **_usage(),
     }))
     return 0
@@ -214,66 +207,31 @@ def run_child(argv: List[str]) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-def run_epoch_cell(ring_scale: float, sweep: bool, failures: List[str]) -> dict:
+def run_epoch_cell(ring_scale: float, sweep: bool) -> dict:
     label = f"epoch-{ring_scale:g}"
-    runs = {}
-    for mode in ("materialized", "streamed"):
-        runs[mode] = run_child(
-            ["--epoch-child", mode, "--ring-scale", str(ring_scale),
-             "--chunk", str(EPOCH_CHUNK), "--rounds", str(EPOCH_ROUNDS)]
-        )
-        print(f"{label:<16s} {mode:<13s} wall {runs[mode]['wall_seconds']:7.2f}s  "
-              f"cpu {runs[mode]['cpu_seconds']:7.2f}s  "
-              f"plan RSS {runs[mode]['plan_rss_kb'] / 1024:7.1f} MB  "
-              f"peak RSS {runs[mode]['peak_rss_kb'] / 1024:7.1f} MB")
-    if runs["streamed"]["summary"] != runs["materialized"]["summary"]:
-        failures.append(f"{label}: streamed summary differs from materialized")
-
-    # Plan-attributable memory: what each child retains over its own
+    run = run_child(
+        ["--epoch-child", "--ring-scale", str(ring_scale),
+         "--chunk", str(EPOCH_CHUNK), "--rounds", str(EPOCH_ROUNDS)]
+    )
+    print(f"{label:<16s} wall {run['wall_seconds']:7.2f}s  "
+          f"cpu {run['cpu_seconds']:7.2f}s  "
+          f"plan RSS {run['plan_rss_kb'] / 1024:7.1f} MB  "
+          f"peak RSS {run['peak_rss_kb'] / 1024:7.1f} MB")
+    # Plan-attributable memory: what the child retains over its own
     # world + platform floor once the plan exists.  Emission costs
     # (collector rows, allocator high-water over ~10^6 transient block
-    # allocations) are mode-independent and reported via peak RSS.
-    fraction = (
-        runs["streamed"]["plan_rss_kb"] / runs["materialized"]["plan_rss_kb"]
-        if runs["materialized"]["plan_rss_kb"]
-        else 1.0
-    )
-    total_fraction = (
-        runs["streamed"]["peak_rss_kb"] / runs["materialized"]["peak_rss_kb"]
-    )
-    print(f"{label:<16s} streamed plan RSS = {fraction:.2f}x materialized "
-          f"(child peak RSS {total_fraction:.2f}x)")
-
-    cell = {
-        "cell": label,
-        "ring_scale": ring_scale,
-        "vps": runs["materialized"]["vps"],
-        "rounds": runs["materialized"]["rounds"],
-        "chunk": EPOCH_CHUNK,
-        "rounds_emitted": EPOCH_ROUNDS,
-        "plan_rss_kb": {
-            "materialized": runs["materialized"]["plan_rss_kb"],
-            "streamed": runs["streamed"]["plan_rss_kb"],
-        },
-        "plan_rss_fraction": round(fraction, 3),
-        "total_rss_fraction": round(total_fraction, 3),
-        "identical_summaries": (
-            runs["streamed"]["summary"] == runs["materialized"]["summary"]
-        ),
-        "materialized": {k: v for k, v in runs["materialized"].items() if k != "summary"},
-        "streamed": {k: v for k, v in runs["streamed"].items() if k != "summary"},
-    }
+    # allocations) are reported via peak RSS.
+    cell = {"cell": label, "ring_scale": ring_scale, **run}
     if sweep:
         # O(chunk) evidence: same rounds emitted at every chunk size, so
         # collector growth is constant across the sweep and the only RSS
         # variable is the per-chunk epoch buffer — which barely moves
-        # over a 16x chunk range and never approaches the materialized
-        # plan's O(campaign) footprint.
+        # over a 16x chunk range.
         cell["sweep_rounds"] = SWEEP_ROUNDS
         cell["chunk_sweep"] = []
         for chunk in SWEEP_CHUNKS:
             run = run_child(
-                ["--epoch-child", "streamed", "--ring-scale", str(ring_scale),
+                ["--epoch-child", "--ring-scale", str(ring_scale),
                  "--chunk", str(chunk), "--rounds", str(SWEEP_ROUNDS)]
             )
             cell["chunk_sweep"].append({
@@ -284,7 +242,7 @@ def run_epoch_cell(ring_scale: float, sweep: bool, failures: List[str]) -> dict:
                     0, run["peak_rss_kb"] - run["floor_rss_kb"]
                 ),
             })
-            print(f"{label:<16s} streamed chunk={chunk:<4d} "
+            print(f"{label:<16s} chunk={chunk:<4d} "
                   f"peak RSS {run['peak_rss_kb'] / 1024:7.1f} MB "
                   f"(over floor "
                   f"{cell['chunk_sweep'][-1]['emission_rss_kb'] / 1024:6.1f} MB)")
@@ -343,9 +301,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="result file (default: BENCH_scale.json at the repo root)",
     )
     parser.add_argument(
-        "--max-epoch-rss-fraction", type=float, default=None,
-        help="fail any epoch cell whose plan-attributable streamed/"
-             "materialized peak-RSS fraction is not below this",
+        "--max-epoch-plan-rss-kb", type=int, default=None,
+        help="fail any epoch cell whose plan-attributable RSS (KB over "
+             "the world + platform floor) is not below this",
     )
     parser.add_argument(
         "--min-passive-speedup", type=float, default=None,
@@ -353,9 +311,7 @@ def main(argv: Optional[List[str]] = None) -> int:
              "population/per-client path speedup is below this (smaller "
              "cells are dominated by fixed costs and not gated)",
     )
-    parser.add_argument(
-        "--epoch-child", choices=("materialized", "streamed")
-    )
+    parser.add_argument("--epoch-child", action="store_true")
     parser.add_argument("--ring-scale", type=float)
     parser.add_argument("--chunk", type=int, default=EPOCH_CHUNK)
     parser.add_argument("--rounds", type=int, default=EPOCH_ROUNDS)
@@ -364,9 +320,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.epoch_child:
-        return epoch_child(
-            args.ring_scale, args.epoch_child, args.chunk, args.rounds
-        )
+        return epoch_child(args.ring_scale, args.chunk, args.rounds)
     if args.passive_child:
         return passive_child(args.clients, args.passive_child)
 
@@ -381,16 +335,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         label = f"epoch-{ring_scale:g}"
         if not selected(label):
             continue
-        cell = run_epoch_cell(ring_scale, sweep=(ring_scale == 0.3), failures=failures)
+        cell = run_epoch_cell(ring_scale, sweep=(ring_scale == 0.3))
         cells.append(cell)
         if (
-            args.max_epoch_rss_fraction is not None
-            and cell["plan_rss_fraction"] >= args.max_epoch_rss_fraction
+            args.max_epoch_plan_rss_kb is not None
+            and cell["plan_rss_kb"] >= args.max_epoch_plan_rss_kb
         ):
             failures.append(
-                f"{label}: streamed plan RSS fraction "
-                f"{cell['plan_rss_fraction']} not below required "
-                f"{args.max_epoch_rss_fraction}"
+                f"{label}: plan RSS {cell['plan_rss_kb']} KB not below "
+                f"required {args.max_epoch_plan_rss_kb} KB"
             )
     for clients in CLIENT_COUNTS:
         label = f"passive-{clients}"

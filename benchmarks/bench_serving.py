@@ -45,8 +45,7 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 )
 
-from bench_campaign_hotpath import make_config
-from benchutil import cpu_scaling_meta
+from benchutil import cpu_scaling_meta, make_config
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 

@@ -1,4 +1,5 @@
-"""Shared bench-runner helpers: CPU visibility and scaling curves.
+"""Shared bench-runner helpers: the bench campaign configs, CPU
+visibility and scaling curves.
 
 The bench runners historically hard-coded their worker counts, which on
 a many-core host silently records single-core numbers.  These helpers
@@ -14,7 +15,45 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
-__all__ = ["cpu_scaling_meta", "scaling_worker_levels", "visible_cpus"]
+__all__ = [
+    "cpu_scaling_meta",
+    "make_config",
+    "scaling_worker_levels",
+    "visible_cpus",
+]
+
+
+def make_config(scale: str):
+    """The campaign config of a bench ``--scale`` (``bench`` or ``tiny``)."""
+    from repro.core.config import StudyConfig
+    from repro.util.timeutil import parse_ts
+
+    if scale == "bench":
+        # The BENCH_pipeline.json campaign: full timeline, ~89 VPs.
+        return StudyConfig(
+            seed=2024,
+            ring_scale=0.1,
+            ring_min_per_region=8,
+            interval_scale=48.0,
+            rtt_sample_every=1,
+            traceroute_sample_every=2,
+            axfr_sample_every=2,
+            clean_transfer_keep_one_in=200,
+        )
+    # "tiny": a dozen VPs over a month around the ZONEMD switch —
+    # CI-friendly, still exercising sampling, traceroutes, transfers and
+    # the fault plan.
+    return StudyConfig(
+        seed=77,
+        ring_scale=0.02,
+        interval_scale=96.0,
+        campaign_start=parse_ts("2023-11-15"),
+        campaign_end=parse_ts("2023-12-15"),
+        rtt_sample_every=1,
+        traceroute_sample_every=2,
+        axfr_sample_every=2,
+        clean_transfer_keep_one_in=20,
+    )
 
 
 def visible_cpus() -> int:

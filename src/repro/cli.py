@@ -180,6 +180,33 @@ def _compose_scenario(parser: argparse.ArgumentParser, args):
         parser.error(str(exc.args[0] if exc.args else exc))
 
 
+def _study_config(parser: argparse.ArgumentParser, args):
+    """The (config, label) a fresh ``rootsim-study`` run executes, from
+    --scenario/--overlay or --preset plus --seed/--shards/--workers
+    (exits on a bad combination)."""
+    from repro.core import StudyConfig
+
+    if args.scenario:
+        config = _compose_scenario(parser, args).study_config(seed=args.seed)
+        label = f"scenario={args.scenario}"
+        if args.overlay:
+            label += f"+{'+'.join(args.overlay)}"
+    elif args.overlay:
+        parser.error("--overlay requires --scenario")
+    else:
+        config = {
+            "quick": StudyConfig.quick,
+            "standard": StudyConfig.standard,
+            "paper": StudyConfig.paper_scale,
+        }[args.preset](seed=args.seed)
+        label = f"preset={args.preset}"
+    if args.shards < 1 or args.workers < 1:
+        parser.error("--shards and --workers must be >= 1")
+    if args.shards > 1 or args.workers > 1:
+        config = config.with_sharding(args.shards, workers=args.workers)
+    return config, label
+
+
 def study_main(argv: Optional[List[str]] = None) -> int:
     """Run a campaign preset or registered scenario and print headline
     results."""
@@ -207,13 +234,8 @@ def study_main(argv: Optional[List[str]] = None) -> int:
         help="run shards across N worker processes (requires --shards > 1)",
     )
     parser.add_argument(
-        "--timings", action="store_true", help="print per-stage wall times"
-    )
-    parser.add_argument(
-        "--engine", choices=("epoch", "scalar"), default=None,
-        help="campaign engine (default: the preset's engine, normally "
-             "'epoch'; 'scalar' walks every round and is byte-identical "
-             "but much slower)",
+        "--timings", action="store_true",
+        help="print per-stage wall times (batch mode only)",
     )
     parser.add_argument(
         "--profile", action="store_true",
@@ -235,43 +257,24 @@ def study_main(argv: Optional[List[str]] = None) -> int:
         "--resume", metavar="DIR",
         help="resume a streamed campaign from its checkpoint directory; "
              "the study configuration comes from the checkpoint, so "
-             "--preset/--seed/--shards/--engine are ignored "
+             "--preset/--seed/--shards/--workers are ignored "
              "(--scenario, if given, is validated against the "
              "checkpoint's scenario fingerprint)",
     )
     args = parser.parse_args(argv)
 
     from repro.analysis import registry
-    from repro.core import RootStudy, StudyConfig
+    from repro.core import RootStudy
 
     if args.resume and args.checkpoint:
         parser.error("--checkpoint and --resume are mutually exclusive")
     if args.resume or args.checkpoint:
-        if args.profile:
-            parser.error("--profile is not available in streaming mode")
+        for flag in ("profile", "timings"):
+            if getattr(args, flag):
+                parser.error(f"--{flag} is not available in streaming mode")
         return _streaming_study_main(args, parser)
 
-    if args.scenario:
-        config = _compose_scenario(parser, args).study_config(seed=args.seed)
-        label = f"scenario={args.scenario}"
-        if args.overlay:
-            label += f"+{'+'.join(args.overlay)}"
-    elif args.overlay:
-        parser.error("--overlay requires --scenario")
-    else:
-        config = {
-            "quick": StudyConfig.quick,
-            "standard": StudyConfig.standard,
-            "paper": StudyConfig.paper_scale,
-        }[args.preset](seed=args.seed)
-        label = f"preset={args.preset}"
-    if args.shards < 1 or args.workers < 1:
-        parser.error("--shards and --workers must be >= 1")
-    if args.shards > 1 or args.workers > 1:
-        config = config.with_sharding(args.shards, workers=args.workers)
-    if args.engine is not None:
-        config = config.with_engine(args.engine)
-
+    config, label = _study_config(parser, args)
     print(f"building study: {label} seed={args.seed}")
     study = RootStudy(config, profile=args.profile)
     print(f"  {len(study.vps)} VPs, {len(study.catalog)} sites, "
@@ -315,7 +318,6 @@ def _streaming_study_main(args, parser) -> int:
     Runs the campaign through :func:`run_streaming_campaign` so progress
     survives a crash; ``--save`` finalizes the sealed chunks into an
     ordinary dataset directory, byte-identical to a batch save."""
-    from repro.core import StudyConfig
     from repro.core.streaming import (
         config_from_checkpoint,
         finalize_streaming_campaign,
@@ -339,29 +341,9 @@ def _streaming_study_main(args, parser) -> int:
                         f"(fingerprint {expected}); refusing to resume"
                     )
             print(f"resuming streamed study from {checkpoint_dir}: "
-                  f"seed={config.seed} engine={config.engine} "
-                  f"shards={config.shards}")
+                  f"seed={config.seed} shards={config.shards}")
         else:
-            if args.scenario:
-                config = _compose_scenario(parser, args).study_config(
-                    seed=args.seed
-                )
-                label = f"scenario={args.scenario}"
-            elif args.overlay:
-                parser.error("--overlay requires --scenario")
-            else:
-                config = {
-                    "quick": StudyConfig.quick,
-                    "standard": StudyConfig.standard,
-                    "paper": StudyConfig.paper_scale,
-                }[args.preset](seed=args.seed)
-                label = f"preset={args.preset}"
-            if args.shards < 1 or args.workers < 1:
-                parser.error("--shards and --workers must be >= 1")
-            if args.shards > 1 or args.workers > 1:
-                config = config.with_sharding(args.shards, workers=args.workers)
-            if args.engine is not None:
-                config = config.with_engine(args.engine)
+            config, label = _study_config(parser, args)
             print(f"streaming study: {label} seed={args.seed} "
                   f"-> {checkpoint_dir}")
 

@@ -11,7 +11,8 @@ individually timed stages over a typed artifact store:
   re-deriving identical worlds.
 * **build_platform** — schedule, route selector, VP ring, fault plan,
   collector and prober (the full measurement platform).
-* **run_campaign** — executes the campaign.  With ``config.shards > 1``
+* **run_campaign** — executes the campaign on the epoch-compiled engine
+  (:mod:`repro.vantage.epoch_engine`).  With ``config.shards > 1``
   the VP ring is partitioned and each shard probed against its own
   :class:`~repro.vantage.collector.CampaignCollector`; the shard
   collectors are then recombined with
@@ -50,6 +51,7 @@ from repro.rss.server import RootServerDeployment
 from repro.rss.sites import SiteCatalog, build_site_catalog
 from repro.util.rng import RngFactory
 from repro.vantage.collector import CampaignCollector
+from repro.vantage.epoch_engine import EpochCampaignPlan, run_epoch_campaign
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import Prober, SamplingPolicy
 from repro.vantage.ring import build_ring
@@ -291,20 +293,6 @@ def build_platform(config: StudyConfig, world: WorldArtifacts) -> PlatformArtifa
 # --- stage 3: run_campaign ----------------------------------------------------------
 
 
-def _execute_campaign(
-    engine: str,
-    prober: Prober,
-    vps: Sequence[VantagePoint],
-    schedule: MeasurementSchedule,
-) -> CampaignCollector:
-    """Run one (possibly shard-scoped) campaign on the configured engine."""
-    if engine == "epoch":
-        from repro.vantage.epoch_engine import run_epoch_campaign
-
-        return run_epoch_campaign(prober, list(vps), schedule)
-    return prober.run_campaign(list(vps), schedule)
-
-
 def shard_vp_lists(
     vps: Sequence[VantagePoint], shards: int
 ) -> List[List[VantagePoint]]:
@@ -360,9 +348,8 @@ def _run_shard_spill_job(shard_index: int, spill_root: str) -> Dict[str, Any]:
     world = build_world(serial_config)
     platform = build_platform(serial_config, world)
     world.distributor.reset_faults()
-    platform.prober.reset()
     shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
-    _execute_campaign(config.engine, platform.prober, shard_vps, platform.schedule)
+    run_epoch_campaign(platform.prober, shard_vps, platform.schedule)
 
     from repro.data.spill import write_shard_spill
 
@@ -442,6 +429,26 @@ def _run_multiprocess(
     return [read_shard_spill(result["spill_dir"]) for result in results]
 
 
+def shard_plan(
+    world: WorldArtifacts,
+    platform: PlatformArtifacts,
+    vps: Sequence[VantagePoint],
+    collector: CampaignCollector,
+) -> EpochCampaignPlan:
+    """One shard's campaign plan over *platform*, emitting into its own
+    *collector* (the batch path emits it whole, the streaming path one
+    chunk at a time)."""
+    prober = Prober(
+        fabric=world.fabric,
+        selector=platform.selector,
+        deployments=world.deployments,
+        fault_plan=platform.fault_plan,
+        collector=collector,
+        sampling=platform.prober.sampling,
+    )
+    return EpochCampaignPlan(prober, list(vps), platform.schedule)
+
+
 def _run_sharded(
     config: StudyConfig, world: WorldArtifacts, platform: PlatformArtifacts
 ) -> List[CampaignCollector]:
@@ -450,17 +457,9 @@ def _run_sharded(
     collectors: List[CampaignCollector] = []
     for shard_vps in shard_vp_lists(platform.vps, config.shards):
         world.distributor.reset_faults()
-        collector = CampaignCollector()
-        prober = Prober(
-            fabric=world.fabric,
-            selector=platform.selector,
-            deployments=world.deployments,
-            fault_plan=platform.fault_plan,
-            collector=collector,
-            sampling=platform.prober.sampling,
-        )
-        _execute_campaign(config.engine, prober, shard_vps, platform.schedule)
-        collectors.append(collector)
+        plan = shard_plan(world, platform, shard_vps, CampaignCollector())
+        plan.emit_range(0, plan.n_rounds)
+        collectors.append(plan.collector)
     return collectors
 
 
@@ -470,11 +469,8 @@ def run_campaign(
     """Execute the campaign (serial, sharded, or multiprocess) and leave
     the merged collector on the platform."""
     world.distributor.reset_faults()
-    platform.prober.reset()
     if config.shards <= 1:
-        _execute_campaign(
-            config.engine, platform.prober, platform.vps, platform.schedule
-        )
+        run_epoch_campaign(platform.prober, platform.vps, platform.schedule)
         return platform.collector
     if config.workers > 1:
         from repro.data.spill import spill_tempdir
@@ -483,7 +479,6 @@ def run_campaign(
         try:
             shard_collectors = _run_multiprocess(config, spill_root)
             world.distributor.reset_faults()
-            platform.prober.reset()
             # merge copies every row out of the mmapped spill views, and
             # the reload already pulled the transfer metadata and zone
             # pack bytes into memory, so the spill directory is safe to
@@ -496,7 +491,6 @@ def run_campaign(
         return merged
     shard_collectors = _run_sharded(config, world, platform)
     world.distributor.reset_faults()
-    platform.prober.reset()
     merged = CampaignCollector.merge(shard_collectors)
     platform.collector = merged
     platform.prober.collector = merged

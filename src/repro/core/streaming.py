@@ -10,20 +10,12 @@ one chunk instead of the campaign, and a killed run resumes from the
 last sealed chunk — producing a finalized dataset byte-identical to an
 uninterrupted batch run (DESIGN.md §11).
 
-Why resume is exact, engine by engine:
-
-* **epoch** — :class:`~repro.vantage.epoch_engine.EpochCampaignPlan` is
-  compiled from the seed alone and ``emit_range`` is pure over the
-  restored collector aggregates; no process state survives a crash that
-  the checkpoint does not carry.
-* **scalar** — two pieces of live state exist outside the collector and
-  are reconstructed on every advance: the churn flap state (advanced one
-  ``select_index`` call per (pair, round) — replayed for the sealed
-  rounds, every draw being a counter-based mix keyed by the round
-  number) and the distributor's stale-site freeze state (the net state
-  after round ``r`` is "frozen iff the window is active at ``ts_r``", so
-  one ``_apply_stale_events(ts_{lo-1})`` after a fault reset restores
-  it).
+Why resume is exact: every shard advances an
+:class:`~repro.vantage.epoch_engine.EpochCampaignPlan`, which is
+compiled from the seed alone, and ``emit_range`` is pure over the
+restored collector aggregates — it advances no churn state and never
+touches the distributor's freeze state — so no process state survives a
+crash that the checkpoint does not carry.
 
 Sharding composes with streaming exactly like with the batch path: every
 shard advances the same round range over its disjoint VP subset, and
@@ -48,9 +40,9 @@ import numpy as np
 
 from repro.core.config import StudyConfig
 from repro.core.pipeline import (
-    WorldArtifacts,
     build_platform,
     build_world,
+    shard_plan,
     shard_vp_lists,
 )
 from repro.data.chunks import (
@@ -63,7 +55,6 @@ from repro.data.chunks import (
 from repro.data.schema import CheckpointError
 from repro.vantage.collector import CampaignCollector
 from repro.vantage.epoch_engine import EpochCampaignPlan
-from repro.vantage.probes import Prober
 
 
 #: Called after every sealed chunk: (chunk_index, chunk_dir, lo, hi).
@@ -89,112 +80,22 @@ class StreamingRun:
         return self.rounds_done == self.n_rounds
 
 
-# --- engine advance ------------------------------------------------------------------
-
-
 def _config_fingerprint(config: StudyConfig) -> dict:
     """The config as it appears in a checkpoint (JSON round-tripped, so
     comparisons against a reloaded checkpoint are exact)."""
     return json.loads(json.dumps(asdict(config)))
 
 
-def _replay_churn(selector, vps, addresses, n_rounds: int) -> None:
-    """Advance the scalar churn state over the already-sealed rounds.
-
-    ``ChurnModel.select_index`` must be called once per (pair, round) in
-    round order; each draw is keyed by the round number, so replaying is
-    exact.  Only the flap-state machine runs — no routing, probing or
-    collection."""
-    churn = selector.churn
-    for vp in vps:
-        for sa in addresses:
-            n_candidates = len(selector.candidates(vp.attachment, sa.letter, sa.family))
-            for round_no in range(n_rounds):
-                churn.select_index(
-                    vp.vp_id, sa.address, sa.letter, sa.family, round_no, n_candidates
-                )
-
-
-def _resync_stale(world: WorldArtifacts, prober: Prober, ts_prev: Optional[int]) -> None:
-    """Put the distributor's freeze state where the scalar scan left it.
-
-    After processing round ``r`` the net freeze state is "frozen iff the
-    stale window is active at ``ts_r``" — so a full fault reset followed
-    by one event application at the previous round's timestamp restores
-    it exactly, whether we are resuming after a crash or interleaving
-    shards that each mutate the shared distributor."""
-    world.distributor.reset_faults()
-    prober.reset()
-    if ts_prev is not None:
-        prober._apply_stale_events(ts_prev)
-
-
-class _ShardRunner:
-    """Advances one shard's campaign over round ranges."""
-
-    def __init__(
-        self,
-        world: WorldArtifacts,
-        platform,
-        vps,
-        engine: str,
-        collector: CampaignCollector,
-    ) -> None:
-        self.world = world
-        self.engine = engine
-        self.vps = vps
-        self.collector = collector
-        self.ts_list = platform.schedule.rounds()
-        self.prober = Prober(
-            fabric=world.fabric,
-            selector=platform.selector,
-            deployments=world.deployments,
-            fault_plan=platform.fault_plan,
-            collector=collector,
-            sampling=platform.prober.sampling,
-        )
-        self._plan: Optional[EpochCampaignPlan] = None
-        if engine == "epoch":
-            # Streamed plan: per-pair epoch lists are materialised one
-            # chunk at a time, so the plan's retained memory is the
-            # sparse trigger arrays, not O(campaign) epoch tuples.
-            self._plan = EpochCampaignPlan(
-                self.prober, list(vps), platform.schedule, streamed=True
-            )
-
-    def replay_to(self, round_no: int) -> None:
-        """Reconstruct non-collector engine state for rounds ``[0, round_no)``."""
-        if self.engine != "epoch":
-            _replay_churn(
-                self.prober.selector, self.vps, self.collector.addresses, round_no
-            )
-
-    def advance(self, lo: int, hi: int) -> None:
-        """Execute rounds ``[lo, hi)`` into this shard's collector."""
-        if self._plan is not None:
-            self._plan.emit_range(lo, hi)
-            return
-        _resync_stale(
-            self.world, self.prober, self.ts_list[lo - 1] if lo > 0 else None
-        )
-        for round_no in range(lo, hi):
-            ts = self.ts_list[round_no]
-            self.prober._apply_stale_events(ts)
-            for vp in self.vps:
-                self.prober.run_round(vp, round_no, ts)
-            self.collector.rounds_processed += 1
-
-
 # --- multiprocess shard workers ------------------------------------------------------
 
 #: Per-worker-process streaming state: the study config installed by the
-#: pool initializer, and a cache of live shard runners keyed by shard
+#: pool initializer, and a cache of live shard plans keyed by shard
 #: index.  ProcessPoolExecutor does not pin tasks to workers, so a cache
 #: entry is only reused when its recorded position matches the requested
-#: ``lo`` — a reassigned shard rebuilds its runner from the shipped
+#: ``lo`` — a reassigned shard rebuilds its plan from the shipped
 #: state dict (correct always, cheap in the common pinned case).
 _STREAM_CONFIG: Optional[StudyConfig] = None
-_STREAM_RUNNERS: Dict[int, Tuple[_ShardRunner, int]] = {}
+_STREAM_PLANS: Dict[int, Tuple[EpochCampaignPlan, int]] = {}
 
 
 def _init_stream_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
@@ -208,7 +109,7 @@ def _init_stream_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
 
     global _STREAM_CONFIG
     _STREAM_CONFIG = StudyConfig(**config_values)
-    _STREAM_RUNNERS.clear()
+    _STREAM_PLANS.clear()
     exit_when_orphaned(owner_pid)
 
 
@@ -219,9 +120,9 @@ def _advance_stream_shard(
     spill the chunk's rows.
 
     The shipped *state* is the shard's aggregate state after round
-    ``lo`` was sealed; a cached runner already carrying that state (its
+    ``lo`` was sealed; a cached plan already carrying that state (its
     position matches ``lo``) advances directly, anything else rebuilds
-    world, platform and runner from the per-process seed-keyed world
+    world, platform and plan from the per-process seed-keyed world
     cache plus the state dict.  Rows cross back to the parent through
     the spill — only this path string and the shard index transit the
     pool pipe.
@@ -231,33 +132,31 @@ def _advance_stream_shard(
         raise RuntimeError(
             "stream worker used before _init_stream_worker installed its config"
         )
-    cached = _STREAM_RUNNERS.get(shard_index)
+    cached = _STREAM_PLANS.get(shard_index)
     if cached is not None and cached[1] == lo:
-        runner = cached[0]
+        plan = cached[0]
     else:
         serial_config = config.serial()
         world = build_world(serial_config)
         platform = build_platform(serial_config, world)
         world.distributor.reset_faults()
-        platform.prober.reset()
         shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
         collector = CampaignCollector()
         collector.restore_state_dict(state)
-        runner = _ShardRunner(world, platform, shard_vps, config.engine, collector)
-        runner.replay_to(lo)
+        plan = shard_plan(world, platform, shard_vps, collector)
 
-    runner.advance(lo, hi)
+    plan.emit_range(lo, hi)
 
     from repro.data.spill import write_shard_spill
 
     spill_dir = write_shard_spill(
         Path(spill_root) / f"rounds-{lo:05d}-shard-{shard_index:03d}",
-        runner.collector,
+        plan.collector,
     )
     # Drain so the next advance appends only its own chunk's rows; the
     # aggregates stay cumulative, exactly like the in-process path.
-    runner.collector.drain_rows()
-    _STREAM_RUNNERS[shard_index] = (runner, hi)
+    plan.collector.drain_rows()
+    _STREAM_PLANS[shard_index] = (plan, hi)
     return {"shard": shard_index, "spill_dir": str(spill_dir)}
 
 
@@ -329,7 +228,6 @@ def run_streaming_campaign(
     world = build_world(config)
     platform = build_platform(config, world)
     world.distributor.reset_faults()
-    platform.prober.reset()
     n_rounds = platform.expected_rounds
     shard_vps = shard_vp_lists(platform.vps, config.shards)
     study = _config_fingerprint(config)
@@ -364,7 +262,6 @@ def run_streaming_campaign(
         writer.start(
             study=study,
             addresses=[sa.address for sa in global_state.addresses],
-            engine=config.engine,
             shards=config.shards,
             n_rounds=n_rounds,
             state=global_state.state_dict(),
@@ -375,7 +272,7 @@ def run_streaming_campaign(
     use_workers = config.workers > 1 and config.shards > 1
     pool: Optional[ProcessPoolExecutor] = None
     spill_root: Optional[Path] = None
-    runners: List[_ShardRunner] = []
+    plans: List[EpochCampaignPlan] = []
     shard_states: List[Dict] = []
     if use_workers:
         # Shards advance on worker processes; each chunk comes home as a
@@ -394,12 +291,10 @@ def run_streaming_campaign(
             initargs=(asdict(config), os.getpid()),
         )
     else:
-        runners = [
-            _ShardRunner(world, platform, vps, config.engine, collector)
+        plans = [
+            shard_plan(world, platform, vps, collector)
             for vps, collector in zip(shard_vps, shard_collectors)
         ]
-        for runner in runners:
-            runner.replay_to(rounds_done)
 
     prev_counts = global_state.change_counts()
     prev_idents = _snapshot_identities(global_state)
@@ -430,8 +325,8 @@ def run_streaming_campaign(
                 spill_dirs = [r["spill_dir"] for r in results]
                 chunk_collectors = [read_shard_spill(d) for d in spill_dirs]
             else:
-                for runner in runners:
-                    runner.advance(lo, hi)
+                for plan in plans:
+                    plan.emit_range(lo, hi)
                 chunk_collectors = shard_collectors
 
             merged = CampaignCollector.merge(chunk_collectors)

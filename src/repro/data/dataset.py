@@ -264,7 +264,11 @@ class Dataset:
         collected under, rebuilt from the manifest fingerprint.
 
         Strict: a manifest written by a different config schema raises
-        a :class:`DatasetError` instead of silently dropping knobs.
+        a :class:`DatasetError` instead of silently dropping knobs.  The
+        one exception is ``engine``, the campaign-engine selector that
+        earlier versions recorded: it never changed the data, so reading
+        analyses off such a dataset drops it (resuming such a checkpoint
+        still refuses, see ``config_from_checkpoint``).
         """
         from repro.core.config import StudyConfig
 
@@ -275,6 +279,7 @@ class Dataset:
                 "a config, so seed-derived inputs (vps, catalog) cannot be "
                 "reconstructed — pass them explicitly"
             )
+        study = {key: value for key, value in study.items() if key != "engine"}
         try:
             return StudyConfig.from_dict(study)
         except (TypeError, ValueError) as exc:

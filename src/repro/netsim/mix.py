@@ -12,7 +12,7 @@ values into a partial state, and :func:`mix64_array` /
 values.  The array forms are bit-identical to calling :func:`mix64` /
 :func:`mix_float` element-wise (uint64 wrap-around multiplication is the
 same operation in numpy), which is what keeps the vectorized engine's
-output byte-identical to the scalar prober.
+output byte-identical to a cell-by-cell scan of the campaign.
 """
 
 from __future__ import annotations

@@ -19,9 +19,9 @@ buffers (:class:`_ColumnTable`) with batch-append APIs
 (:meth:`CampaignCollector.add_probe_block`,
 :meth:`CampaignCollector.add_traceroute_block`) fed by the epoch-compiled
 campaign engine, while the scalar ``add_probe_sample`` /
-``add_traceroute`` calls remain as thin single-row wrappers so the
-scalar prober and :meth:`CampaignCollector.merge` produce byte-identical
-tables.  ``probe_columns()`` / ``traceroute_columns()`` are memoised per
+``add_traceroute`` calls remain as thin single-row wrappers over the
+same tables (the test-side scalar campaign oracle appends through them
+and matches the engine byte for byte).  ``probe_columns()`` / ``traceroute_columns()`` are memoised per
 buffer version instead of re-materialising the full arrays on every
 analysis.
 """

@@ -1,9 +1,9 @@
-"""The epoch-compiled campaign engine.
+"""The epoch-compiled campaign engine — the one campaign loop.
 
-The scalar :meth:`~repro.vantage.probes.Prober.run_campaign` walks every
-(round, VP, address) cell: tens of millions of ``RouteSelector.select``
-calls, interner lookups and per-call hash mixes.  This engine exploits
-the structure of the workload instead:
+Walking every (round, VP, address) cell would cost tens of millions of
+``RouteSelector.select`` calls, interner lookups and per-call hash mixes
+at paper scale.  This engine exploits the structure of the workload
+instead:
 
 * **Routes are piecewise constant.**  Each (VP, address) pair's campaign
   is compiled into a handful of ``(round_start, round_end, route)``
@@ -16,29 +16,30 @@ the structure of the workload instead:
   come from the array mixer (:func:`repro.netsim.mix.mix64_array`),
   which is bit-identical to the scalar mixer — and enter the collector
   through its batch-append APIs.
-* **Almost no transfer is recorded.**  The scalar path runs a full AXFR
-  for every sampled transfer and then throws nearly all of them away
-  (``clean_transfer_keep_one_in``).  Faults and clock skew are pure
-  functions of (VP, site, timestamp), so clean/faulty *counts* are
-  computed from window masks alone and zones are only served for the
-  observations that are actually kept.
+* **Almost no transfer is recorded.**  Nearly every sampled transfer
+  is clean and thrown away (``clean_transfer_keep_one_in``).  Faults
+  and clock skew are pure functions of (VP, site, timestamp), so
+  clean/faulty *counts* are computed from window masks alone and zones
+  are only served for the observations that are actually kept.
 
-The engine is exposed as :class:`EpochCampaignPlan`: compilation happens
-once, then :meth:`~EpochCampaignPlan.emit_range` executes any
-round range ``[lo, hi)`` — the streaming checkpoint path drives it one
-chunk at a time, and :func:`run_epoch_campaign` is simply the single
-range ``[0, n_rounds)``.  Every per-round draw is keyed by the round
-number (counter-based mixing, no sequential RNG state), so the
+The engine is exposed as :class:`EpochCampaignPlan`: each pair's route
+epochs are streamed (:class:`~repro.netsim.epochs.PairEpochStream`), and
+:meth:`~EpochCampaignPlan.emit_range` executes any ascending round range
+``[lo, hi)`` — the streaming checkpoint path drives it one chunk at a
+time, and :func:`run_epoch_campaign` (the batch path) is simply the
+single range ``[0, n_rounds)``.  Every per-round draw is keyed by the
+round number (counter-based mixing, no sequential RNG state), so the
 concatenation of range emissions is byte-identical to one whole-campaign
 emission — and a resumed run is byte-identical to an uninterrupted one.
 
-Output is **byte-identical** to the scalar prober — same summary, same
-interner contents in the same order, same identity dict insertion order,
-same columns, same transfer observations — which
-tests/vantage/test_epoch_engine.py asserts against the scalar path and
-the sharded merge path.
+Output is **byte-identical** to a cell-by-cell scan of the Appendix F
+loop — same summary, same interner contents in the same order, same
+identity dict insertion order, same columns, same transfer observations
+— which tests/vantage/test_epoch_engine.py asserts against the
+test-side scalar oracle (tests/vantage/scalar_prober.py), serial,
+sharded and under faults.
 
-Like the scalar scan (and the sharded merge, which sorts rows by
+Like that scan (and the sharded merge, which sorts rows by
 ``(ts, vp_id)``), row ordering assumes the VP list is ascending in
 ``vp_id`` — true for every ring the builder produces.
 """
@@ -51,7 +52,7 @@ import numpy as np
 
 from repro.faults.bitflip import flip_bit_in_zone
 from repro.geo.coords import RTT_MS_PER_KM
-from repro.netsim.epochs import PairEpochStream, compile_pair_epochs
+from repro.netsim.epochs import PairEpochStream
 from repro.netsim.latency import JITTER, PER_HOP_MS
 from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array
 from repro.vantage.collector import CampaignCollector, TransferObservation
@@ -77,7 +78,7 @@ def _sampled_rounds_range(vp_id: int, every: int, lo: int, hi: int) -> np.ndarra
 
 
 class _PairPlan:
-    """One (VP, address) pair's compiled campaign."""
+    """One (VP, address) pair's epochs overlapping the range being emitted."""
 
     __slots__ = ("vp", "addr_idx", "sa", "epochs", "routes", "starts")
 
@@ -116,25 +117,24 @@ class _PairStream:
 
 
 class EpochCampaignPlan:
-    """A compiled campaign that can be executed one round range at a time.
+    """A compiled campaign that is executed one round range at a time.
 
-    Compilation (epoch lists per pair) is a pure function of the world
-    and the schedule, so a resumed run recompiles the identical plan;
-    :meth:`emit_range` then appends rounds ``[lo, hi)`` into the
-    prober's collector.  Emitting ``[0, n)`` in one call or in any
-    ascending, contiguous sequence of sub-ranges produces byte-identical
-    collector contents — the invariant the checkpoint/resume path and
-    ``tests/vantage/test_stream_equivalence.py`` rely on.
+    Compilation is a pure function of the world and the schedule, so a
+    resumed run recompiles the identical plan; :meth:`emit_range` then
+    appends rounds ``[lo, hi)`` into the prober's collector.  Emitting
+    ``[0, n)`` in one call or in any ascending, contiguous sequence of
+    sub-ranges produces byte-identical collector contents — the
+    invariant the checkpoint/resume path and
+    ``tests/vantage/test_epoch_engine.py`` rely on.
 
-    With ``streamed=True`` the whole-campaign epoch lists are never
-    held: each pair keeps a :class:`~repro.netsim.epochs.
-    PairEpochStream` (the sparse trigger rounds plus a cursor), and
-    :meth:`emit_range` materialises only the epochs overlapping the
-    requested range, discarding them afterwards — epoch-plan memory is
-    O(chunk) + O(pairs) instead of O(campaign).  The cost is that
-    ranges must then be emitted in ascending order (the streaming
-    checkpoint path's natural call pattern); output stays byte-identical
-    to the materialized plan.
+    Whole-campaign epoch lists are never held: each pair keeps a
+    :class:`~repro.netsim.epochs.PairEpochStream` (the sparse trigger
+    rounds plus a cursor), and :meth:`emit_range` materialises only the
+    epochs overlapping the requested range, discarding them afterwards
+    — epoch-plan memory is O(chunk) + O(pairs) instead of O(campaign).
+    Ranges must therefore be emitted in ascending order (the streaming
+    checkpoint path's natural call pattern; the batch path emits one
+    range).
     """
 
     def __init__(
@@ -142,47 +142,31 @@ class EpochCampaignPlan:
         prober: Prober,
         vps: List[VantagePoint],
         schedule: MeasurementSchedule,
-        *,
-        streamed: bool = False,
     ) -> None:
         self.prober = prober
         self.collector = prober.collector
         self.sampling = prober.sampling
-        self.streamed = streamed
         ts_list = schedule.rounds()
         self.n_rounds = len(ts_list)
         self.ts_arr = np.asarray(ts_list, dtype=np.int64)
 
         selector = prober.selector
-        self.pairs: List[_PairPlan] = []
         self._pair_streams: List[_PairStream] = []
         for vp in vps:
             for addr_idx, sa in enumerate(self.collector.addresses):
                 routes = selector.candidates(vp.attachment, sa.letter, sa.family)
-                if streamed:
-                    stream = PairEpochStream(
-                        selector.churn,
-                        vp.vp_id,
-                        sa.address,
-                        sa.letter,
-                        sa.family,
-                        self.n_rounds,
-                        len(routes),
-                    )
-                    self._pair_streams.append(
-                        _PairStream(vp, addr_idx, sa, routes, stream)
-                    )
-                else:
-                    epochs = compile_pair_epochs(
-                        selector.churn,
-                        vp.vp_id,
-                        sa.address,
-                        sa.letter,
-                        sa.family,
-                        self.n_rounds,
-                        len(routes),
-                    )
-                    self.pairs.append(_PairPlan(vp, addr_idx, sa, epochs, routes))
+                stream = PairEpochStream(
+                    selector.churn,
+                    vp.vp_id,
+                    sa.address,
+                    sa.letter,
+                    sa.family,
+                    self.n_rounds,
+                    len(routes),
+                )
+                self._pair_streams.append(
+                    _PairStream(vp, addr_idx, sa, routes, stream)
+                )
 
     # -- range execution ---------------------------------------------------------------
 
@@ -194,17 +178,12 @@ class EpochCampaignPlan:
             )
         if lo == hi:
             return
-        if self.streamed:
-            # Materialise only the epochs overlapping this range; the
-            # helpers below see the same epoch tuples (true bounds) the
-            # materialized plan's epoch_span would have selected, so
-            # every downstream computation is unchanged.
-            pairs = [
-                _PairPlan(p.vp, p.addr_idx, p.sa, p.stream.take(lo, hi), p.routes)
-                for p in self._pair_streams
-            ]
-        else:
-            pairs = self.pairs
+        # Materialise only the epochs overlapping this range, with their
+        # true (unclipped) bounds; the helpers below clip to [lo, hi).
+        pairs = [
+            _PairPlan(p.vp, p.addr_idx, p.sa, p.stream.take(lo, hi), p.routes)
+            for p in self._pair_streams
+        ]
         self._update_aggregates(pairs, lo, hi)
         tr_state = self._intern_hops(pairs, lo, hi)
         self._emit_rows(pairs, lo, hi, tr_state)
@@ -261,8 +240,9 @@ class EpochCampaignPlan:
             collector.identities[letter][identity] += delta
 
         # Stability: pairs enter the dict in pass scan order during the
-        # first range (round 0), matching the scalar serial insertion
-        # order; an epoch start *at* lo belongs to this range's changes.
+        # first range (round 0), matching a serial (round, vp, addr)
+        # scan's insertion order; an epoch start *at* lo belongs to this
+        # range's changes.
         stability = collector._stability
         for pair in pairs:
             e_lo, e_hi = pair.epoch_span(lo, hi)
@@ -584,8 +564,8 @@ class EpochCampaignPlan:
         frozen,
         clock_offset: int,
     ) -> TransferObservation:
-        """Serve + record one kept transfer, mirroring
-        ``Prober._do_transfer``."""
+        """Serve + record one kept transfer: the zone the site serves at
+        *ts* (or its frozen publication), bitflipped if *bitflip*."""
         prober = self.prober
         deployment = prober.deployments[pair.sa.letter]
         distributor = deployment.distributor
@@ -623,12 +603,10 @@ def run_epoch_campaign(
     vps: List[VantagePoint],
     schedule: MeasurementSchedule,
 ) -> CampaignCollector:
-    """Run the campaign via epoch compilation; returns the collector.
+    """Run the whole campaign as one range; returns the collector.
 
-    Drop-in replacement for ``prober.run_campaign(vps, schedule)`` with
-    byte-identical collector output.  Unlike the scalar path it advances
-    no churn state and never mutates the distributor's freeze state, so
-    it composes freely with in-process sharding.
+    It advances no churn state and never mutates the distributor's
+    freeze state, so it composes freely with in-process sharding.
     """
     plan = EpochCampaignPlan(prober, vps, schedule)
     plan.emit_range(0, plan.n_rounds)

@@ -128,6 +128,16 @@ class TestStudyCli:
             study_main(["--checkpoint", "a", "--resume", "b"])
         assert "mutually exclusive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["--checkpoint", "--resume"])
+    def test_timings_rejected_in_streaming_mode(self, mode, capsys):
+        # streamed runs have no per-stage timings to print; saying so
+        # beats silently ignoring the flag
+        with pytest.raises(SystemExit):
+            study_main([mode, "somewhere", "--timings"])
+        assert "--timings is not available in streaming mode" in (
+            capsys.readouterr().err
+        )
+
     def test_resume_without_checkpoint_fails_cleanly(self, tmp_path, capsys):
         code = study_main(["--resume", str(tmp_path / "missing")])
         assert code == 2

@@ -2,8 +2,8 @@
 
 The crash-injection harness (tests/integration/test_crash_resume.py)
 kills real subprocesses; these tests exercise the same resume machinery
-in-process, where aborts are cheap enough to check every engine and the
-guard rails around a bad resume.
+in-process, where aborts are cheap enough to check serial and sharded
+rings and the guard rails around a bad resume.
 """
 
 from __future__ import annotations
@@ -25,11 +25,9 @@ class _Abort(Exception):
     """Raised from after_chunk to simulate dying at a chunk boundary."""
 
 
-@pytest.mark.parametrize(
-    "engine,shards", [("epoch", 1), ("scalar", 2)], ids=["epoch-1", "scalar-2"]
-)
-def test_abort_and_resume_is_byte_identical(engine, shards, tmp_path):
-    config = tiny_stream_config(engine=engine, shards=shards)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_abort_and_resume_is_byte_identical(shards, tmp_path):
+    config = tiny_stream_config(shards=shards)
 
     clean_ckpt = tmp_path / "clean-ckpt"
     run = run_streaming_campaign(config, clean_ckpt, checkpoint_every=2)
@@ -119,7 +117,77 @@ def test_checkpoint_every_must_be_positive(tmp_path):
 
 
 def test_config_from_checkpoint_roundtrips(tmp_path):
-    config = tiny_stream_config(engine="epoch")
+    config = tiny_stream_config()
     ckpt = tmp_path / "ckpt"
     run_streaming_campaign(config, ckpt, checkpoint_every=3)
     assert config_from_checkpoint(ckpt) == config
+
+
+def _with_engine_key(ckpt) -> None:
+    """Rewrite a checkpoint into the format written while campaigns still
+    had an engine selector: ``"engine": "epoch"`` at the top level of
+    ``CHECKPOINT.json`` and in every recorded study block (the
+    checkpoint's and each chunk manifest's).  Nothing else differs."""
+    import json
+
+    from repro.data import CHECKPOINT_NAME
+
+    def with_engine(study):
+        # asdict() order: the knob sat between workers and world
+        out = {}
+        for key, value in study.items():
+            if key == "world":
+                out["engine"] = "epoch"
+            out[key] = value
+        return out
+
+    for path in [ckpt / CHECKPOINT_NAME, *sorted(ckpt.glob("chunks/*/MANIFEST.json"))]:
+        doc = json.loads(path.read_text())
+        doc["study"] = with_engine(doc["study"])
+        if path.name == CHECKPOINT_NAME:
+            doc["engine"] = "epoch"
+        path.write_text(json.dumps(doc, indent=2))
+
+
+def test_checkpoint_recording_an_engine_still_serves(tmp_path, capsys):
+    """Partial data from a checkpoint that still records the retired
+    engine knob loads, analyzes and serves; resuming it is refused with
+    a clean error instead of a traceback."""
+    from repro.analysis.summaries import analysis_json_bytes
+    from repro.cli import analyze_main, study_main
+    from repro.serving.catalog import Catalog
+    from repro.serving.service import AnalysisService
+
+    ckpt = tmp_path / "ckpt"
+
+    def stop(index, _chunk_dir, _lo, _hi):
+        if index == 1:
+            raise _Abort
+
+    with pytest.raises(_Abort):
+        run_streaming_campaign(
+            tiny_stream_config(), ckpt, checkpoint_every=2, after_chunk=stop
+        )
+    _with_engine_key(ckpt)
+
+    partial = load_streaming_checkpoint(ckpt)
+    assert partial.meta["checkpoint"]["rounds_done"] == 4
+    assert partial.study["engine"] == "epoch"
+    # seed-derived inputs (the VP ring) rebuild from the recorded study
+    assert partial.study_config() == tiny_stream_config()
+
+    assert analyze_main([str(ckpt)]) == 0
+    assert analyze_main([str(ckpt), "colocation"]) == 0
+    capsys.readouterr()
+
+    service = AnalysisService(Catalog.from_paths([ckpt]))
+    entry = service.catalog.ids()[0]
+    response = service.handle("GET", f"/datasets/{entry}/analyses/colocation")
+    assert response.status == 200
+    assert response.body == analysis_json_bytes(partial, "colocation")
+
+    with pytest.raises(CheckpointError, match="cannot reload"):
+        config_from_checkpoint(ckpt)
+    assert study_main(["--resume", str(ckpt)]) == 2
+    err = capsys.readouterr().err
+    assert "cannot reload" in err and "Traceback" not in err

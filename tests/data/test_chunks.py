@@ -128,7 +128,7 @@ def test_start_refuses_existing_checkpoint(checkpoint_dir):
     writer = ChunkedDatasetWriter(checkpoint_dir)
     with pytest.raises(CheckpointError, match="already"):
         writer.start(
-            study=None, addresses=[], engine="epoch", shards=1,
+            study=None, addresses=[], shards=1,
             n_rounds=1, state={}, shard_states=[{}],
         )
 

@@ -38,7 +38,6 @@ def shard_collectors():
     world = build_world(config)
     platform = build_platform(config, world)
     world.distributor.reset_faults()
-    platform.prober.reset()
     return _run_sharded(config, world, platform)
 
 

@@ -8,7 +8,7 @@ checkpoint are durable, every in-memory structure past them is lost.
 Invoked by tests/integration/test_crash_resume.py as::
 
     python -m tests.integration._crash_child CKPT_DIR \
-        --engine epoch --shards 2 [--workers N] \
+        --shards 2 [--workers N] \
         [--kill-after-chunk N] [--resume]
 """
 
@@ -27,7 +27,6 @@ from tests.streamutil import tiny_stream_config
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("checkpoint_dir")
-    parser.add_argument("--engine", default="epoch")
     parser.add_argument("--shards", type=int, default=1)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--checkpoint-every", type=int, default=2)
@@ -35,9 +34,7 @@ def main(argv=None) -> int:
     parser.add_argument("--resume", action="store_true")
     args = parser.parse_args(argv)
 
-    config = tiny_stream_config(
-        engine=args.engine, shards=args.shards, workers=args.workers
-    )
+    config = tiny_stream_config(shards=args.shards, workers=args.workers)
 
     def maybe_kill(index, _chunk_dir, _lo, _hi):
         if index == args.kill_after_chunk:

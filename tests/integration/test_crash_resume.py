@@ -3,8 +3,8 @@
 The acceptance invariant of the streaming layer, checked end-to-end with
 real process death: a campaign killed with SIGKILL immediately after a
 chunk seal, resumed in a *fresh* process, finalizes into a dataset
-directory byte-identical to an uninterrupted run — for both engines and
-for sharded rings.  The kill point is drawn from a seeded RNG so the
+directory byte-identical to an uninterrupted run — for serial and sharded
+rings, in-process and on worker processes.  The kill point is drawn from a seeded RNG so the
 suite stays deterministic while the boundary under test varies across
 the matrix.
 """
@@ -31,14 +31,13 @@ N_CHUNKS = 3  # 5 rounds, checkpoint_every=2 -> [0,2) [2,4) [4,5)
 
 
 def _run_child(
-    checkpoint_dir, engine, shards, *, workers=1, kill_after=None, resume=False
+    checkpoint_dir, shards, *, workers=1, kill_after=None, resume=False
 ):
     argv = [
         sys.executable,
         "-m",
         "tests.integration._crash_child",
         str(checkpoint_dir),
-        "--engine", engine,
         "--shards", str(shards),
         "--workers", str(workers),
     ]
@@ -67,30 +66,27 @@ def _run_child(
     return proc
 
 
-@pytest.mark.parametrize("engine", ["epoch", "scalar"])
 @pytest.mark.parametrize("shards", [1, 2])
-def test_sigkill_at_chunk_boundary_resumes_byte_identical(
-    engine, shards, tmp_path
-):
+def test_sigkill_at_chunk_boundary_resumes_byte_identical(shards, tmp_path):
     # uninterrupted reference, streamed in its own process
     clean_ckpt = tmp_path / "clean-ckpt"
-    done = _run_child(clean_ckpt, engine, shards)
+    done = _run_child(clean_ckpt, shards)
     assert done.returncode == 0, done.stderr
     reference = tmp_path / "reference"
     finalize_streaming_campaign(clean_ckpt, reference, passive=False)
 
     # kill after a seeded-random sealed boundary (never the final seal,
     # so the resumed process has real work left)
-    kill_after = random.Random(f"{engine}-{shards}").randrange(N_CHUNKS - 1)
+    kill_after = random.Random(f"epoch-{shards}").randrange(N_CHUNKS - 1)
     ckpt = tmp_path / "crash-ckpt"
-    killed = _run_child(ckpt, engine, shards, kill_after=kill_after)
+    killed = _run_child(ckpt, shards, kill_after=kill_after)
     assert killed.returncode == -signal.SIGKILL, (
         killed.returncode, killed.stderr
     )
     ckpt_state = json.loads((ckpt / CHECKPOINT_NAME).read_text())
     assert 0 < ckpt_state["rounds_done"] < 5
 
-    resumed = _run_child(ckpt, engine, shards, resume=True)
+    resumed = _run_child(ckpt, shards, resume=True)
     assert resumed.returncode == 0, resumed.stderr
 
     out = tmp_path / "resumed"
@@ -98,33 +94,28 @@ def test_sigkill_at_chunk_boundary_resumes_byte_identical(
     assert_trees_identical(reference, out)
 
 
-@pytest.mark.parametrize("engine", ["epoch", "scalar"])
-def test_sigkill_with_multiprocess_workers_resumes_byte_identical(
-    engine, tmp_path
-):
+def test_sigkill_with_multiprocess_workers_resumes_byte_identical(tmp_path):
     """SIGKILL of the *parent* mid-campaign with shard workers on a
     process pool: the sealed prefix survives, the resume (also with
     workers) finalizes byte-identically to an uninterrupted multiprocess
     run."""
     shards, workers = 2, 2
     clean_ckpt = tmp_path / "clean-ckpt"
-    done = _run_child(clean_ckpt, engine, shards, workers=workers)
+    done = _run_child(clean_ckpt, shards, workers=workers)
     assert done.returncode == 0, done.stderr
     reference = tmp_path / "reference"
     finalize_streaming_campaign(clean_ckpt, reference, passive=False)
 
-    kill_after = random.Random(f"mp-{engine}").randrange(N_CHUNKS - 1)
+    kill_after = random.Random("mp-epoch").randrange(N_CHUNKS - 1)
     ckpt = tmp_path / "crash-ckpt"
-    killed = _run_child(
-        ckpt, engine, shards, workers=workers, kill_after=kill_after
-    )
+    killed = _run_child(ckpt, shards, workers=workers, kill_after=kill_after)
     assert killed.returncode == -signal.SIGKILL, (
         killed.returncode, killed.stderr
     )
     ckpt_state = json.loads((ckpt / CHECKPOINT_NAME).read_text())
     assert 0 < ckpt_state["rounds_done"] < 5
 
-    resumed = _run_child(ckpt, engine, shards, workers=workers, resume=True)
+    resumed = _run_child(ckpt, shards, workers=workers, resume=True)
     assert resumed.returncode == 0, resumed.stderr
 
     out = tmp_path / "resumed"
@@ -134,18 +125,18 @@ def test_sigkill_with_multiprocess_workers_resumes_byte_identical(
 
 def test_resume_survives_a_second_kill(tmp_path):
     """Two crashes in one campaign: kill, resume-and-kill again, resume."""
-    engine, shards = "epoch", 1
+    shards = 1
     clean_ckpt = tmp_path / "clean-ckpt"
-    assert _run_child(clean_ckpt, engine, shards).returncode == 0
+    assert _run_child(clean_ckpt, shards).returncode == 0
     reference = tmp_path / "reference"
     finalize_streaming_campaign(clean_ckpt, reference, passive=False)
 
     ckpt = tmp_path / "crash-ckpt"
-    first = _run_child(ckpt, engine, shards, kill_after=0)
+    first = _run_child(ckpt, shards, kill_after=0)
     assert first.returncode == -signal.SIGKILL
-    second = _run_child(ckpt, engine, shards, kill_after=1, resume=True)
+    second = _run_child(ckpt, shards, kill_after=1, resume=True)
     assert second.returncode == -signal.SIGKILL
-    final = _run_child(ckpt, engine, shards, resume=True)
+    final = _run_child(ckpt, shards, resume=True)
     assert final.returncode == 0, final.stderr
 
     out = tmp_path / "resumed"

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.netsim.churn import ChurnModel, TARGET_MEDIAN_CHANGES
-from repro.netsim.epochs import (
-    PairEpochStream,
-    compile_pair_epochs,
-    epoch_change_count,
-)
+from repro.netsim.epochs import PairEpochStream
+
+from tests.netsim.compiled_epochs import compile_pair_epochs, epoch_change_count
 
 
 def scalar_indices(seed, client_id, address, letter, family, n_rounds, n_candidates):

@@ -180,7 +180,6 @@ class TestCampaignShardCounts:
         world = build_world(config)
         platform = build_platform(config, world)
         world.distributor.reset_faults()
-        platform.prober.reset()
         shard_collectors = _run_sharded(config, world, platform)
 
         empty = CampaignCollector()

@@ -6,8 +6,8 @@ refactor, from a tiny five-day campaign at seed 77 — the exact
 ``tiny_stream_config`` shape — hashed over every output surface: all
 probe and traceroute columns, the dataset-size summary, and the CHAOS
 identity counts.  The same digest must fall out of a config
-materialised through ``compose("default")`` today, on both engines and
-either shard count.  Any drift in VP placement, scheduling, sampling
+materialised through ``compose("default")`` today, at either shard
+count.  Any drift in VP placement, scheduling, sampling
 or fault injection caused by the config decomposition shows up here as
 a digest mismatch.
 """
@@ -46,14 +46,12 @@ def campaign_digest(collector) -> str:
     return h.hexdigest()
 
 
-def scenario_tiny_config(engine: str, shards: int) -> StudyConfig:
+def scenario_tiny_config(shards: int) -> StudyConfig:
     """The tiny golden campaign config, derived through the scenario
     path: compose the default scenario, then shrink only the execution
     scale (the same shrink the smoke runner applies)."""
-    config = compose("default").study_config(
-        seed=77, engine=engine, shards=shards
-    )
-    tiny = tiny_stream_config(engine=engine, shards=shards)
+    config = compose("default").study_config(seed=77, shards=shards)
+    tiny = tiny_stream_config(shards=shards)
     return replace(
         config,
         ring_scale=tiny.ring_scale,
@@ -68,17 +66,12 @@ def scenario_tiny_config(engine: str, shards: int) -> StudyConfig:
 
 
 class TestGoldenByteIdentity:
-    @pytest.mark.parametrize("engine", ["epoch", "scalar"])
     @pytest.mark.parametrize("shards", [1, 2])
-    def test_default_scenario_matches_pre_refactor_digest(
-        self, engine, shards
-    ):
-        config = scenario_tiny_config(engine, shards)
+    def test_default_scenario_matches_pre_refactor_digest(self, shards):
+        config = scenario_tiny_config(shards)
         # the scenario stamp rides along but is pure provenance
         assert config.scenario_name == "default"
-        assert config.without_scenario() == tiny_stream_config(
-            engine=engine, shards=shards
-        )
+        assert config.without_scenario() == tiny_stream_config(shards=shards)
         study = RootStudy(config)
         study.run()
         assert campaign_digest(study.collector) == GOLDEN_DIGEST

@@ -98,7 +98,7 @@ class TestFingerprint:
         sharded = Scenario(
             name=scenario.name,
             description=scenario.description,
-            platform={"shards": 4, "workers": 4, "engine": "scalar"},
+            platform={"shards": 4, "workers": 4},
             analyses=scenario.analyses,
         )
         assert sharded.fingerprint() == base
@@ -141,8 +141,8 @@ class TestStudyConfigBridge:
 
     def test_execution_overrides_apply_without_fingerprint_change(self):
         scenario = compose("default")
-        config = scenario.study_config(shards=2, workers=2, engine="scalar")
-        assert (config.shards, config.workers, config.engine) == (2, 2, "scalar")
+        config = scenario.study_config(shards=2, workers=2)
+        assert (config.shards, config.workers) == (2, 2)
         assert config.scenario_fingerprint == scenario.fingerprint()
 
     def test_unknown_execution_override_rejected(self):

@@ -82,8 +82,9 @@ def test_sharded_run_equals_serial(serial_collector, shards):
 
 
 def test_merge_of_explicit_split_equals_serial(serial_collector):
-    """Drive the shard path by hand (no RootStudy plumbing): split, run,
-    merge in scrambled shard order — merge is order-independent."""
+    """Drive the shard path by hand (no RootStudy plumbing): split, run
+    each shard through the scalar oracle, merge in scrambled shard order
+    — merge is order-independent."""
     from repro.core.pipeline import (
         build_platform,
         build_world,
@@ -91,12 +92,13 @@ def test_merge_of_explicit_split_equals_serial(serial_collector):
     )
     from repro.vantage.probes import Prober
 
+    from tests.vantage.scalar_prober import run_scalar_campaign
+
     config = tiny_config()
     world = build_world(config)
     platform = build_platform(config, world)
     collectors = []
     for shard_vps in shard_vp_lists(platform.vps, 3):
-        world.distributor.reset_faults()
         collector = CampaignCollector()
         prober = Prober(
             fabric=world.fabric,
@@ -106,9 +108,8 @@ def test_merge_of_explicit_split_equals_serial(serial_collector):
             collector=collector,
             sampling=platform.prober.sampling,
         )
-        prober.run_campaign(shard_vps, platform.schedule)
+        run_scalar_campaign(world, prober, shard_vps, platform.schedule)
         collectors.append(collector)
-    world.distributor.reset_faults()
 
     merged = CampaignCollector.merge([collectors[2], collectors[0], collectors[1]])
     assert_collectors_identical(merged, serial_collector)

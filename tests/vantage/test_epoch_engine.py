@@ -1,10 +1,14 @@
-"""The epoch-compiled campaign engine reproduces the scalar prober exactly.
+"""The epoch-compiled campaign engine reproduces the scalar loop exactly.
 
-Golden equivalence: same summary, same interner order, same columnar
-tables byte-for-byte, same transfer observations — serial and sharded,
-with and without active faults.  Plus a record-level cross-check of the
-engine's fast path against the full-fidelity wire prober.
+Golden equivalence against the test-side scalar oracle
+(tests/vantage/scalar_prober.py): same summary, same interner order,
+same columnar tables byte-for-byte, same transfer observations — serial
+and sharded, with and without active faults.  Plus a record-level
+cross-check of the engine's fast path against the full-fidelity wire
+prober.
 """
+
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -12,6 +16,7 @@ import pytest
 from repro.core import RootStudy, StudyConfig
 from repro.util.timeutil import parse_ts
 
+from tests.vantage.scalar_prober import scalar_collector as run_scalar
 from tests.vantage.test_collector_merge import (
     assert_collectors_identical,
     tiny_config,
@@ -36,15 +41,15 @@ def fault_window_config() -> StudyConfig:
 
 @pytest.fixture(scope="module")
 def scalar_collector():
-    study = RootStudy(tiny_config(engine="scalar"))
-    study.run()
-    return study.collector
+    return run_scalar(tiny_config())
 
 
 class TestGoldenEquivalence:
     def test_configs_default_to_epoch_engine(self):
-        assert tiny_config().engine == "epoch"
-        assert tiny_config(engine="scalar").engine == "scalar"
+        """The epoch engine is the only engine: no config selects another."""
+        assert "engine" not in asdict(tiny_config())
+        with pytest.raises(TypeError):
+            tiny_config(engine="scalar")
 
     def test_serial_epoch_matches_scalar(self, scalar_collector):
         study = RootStudy(tiny_config())
@@ -59,19 +64,16 @@ class TestGoldenEquivalence:
 
     def test_epoch_matches_scalar_under_faults(self):
         config = fault_window_config()
-        scalar = RootStudy(config.with_engine("scalar"))
-        scalar.run()
+        scalar = run_scalar(config)
         # The window must exercise the slow transfer path, or this proves
         # nothing: stale zones, bitflips and clock skew all present.
-        faults = {o.fault for o in scalar.collector.transfers}
+        faults = {o.fault for o in scalar.transfers}
         assert {"stale", "bitflip"} <= faults
-        assert any(
-            o.observed_ts != o.true_ts for o in scalar.collector.transfers
-        )
+        assert any(o.observed_ts != o.true_ts for o in scalar.transfers)
 
         epoch = RootStudy(config)
         epoch.run()
-        assert_collectors_identical(epoch.collector, scalar.collector)
+        assert_collectors_identical(epoch.collector, scalar)
 
 
 class TestFastPathVsFullFidelity:
@@ -133,51 +135,81 @@ class TestFastPathVsFullFidelity:
 
 
 class TestStreamedPlan:
-    """streamed=True materialises epochs per range, byte-identically."""
+    """Range-by-range emission is byte-identical to one whole-range emit.
+
+    The reference ("materialized") side is a single ``[0, n)`` emission,
+    itself pinned to the scalar oracle; every chunking and a
+    mid-campaign start must reproduce it."""
 
     @staticmethod
-    def _collector(streamed, ranges, config=None):
+    def _collector(ranges, state=None):
         from repro.core.pipeline import build_platform, build_world
         from repro.vantage.epoch_engine import EpochCampaignPlan
 
-        config = config or fault_window_config()
+        config = fault_window_config()
         world = build_world(config)
         platform = build_platform(config, world)
         world.distributor.reset_faults()
-        platform.prober.reset()
-        plan = EpochCampaignPlan(
-            platform.prober, platform.vps, platform.schedule, streamed=streamed
-        )
+        if state is not None:
+            platform.prober.collector.restore_state_dict(state)
+        plan = EpochCampaignPlan(platform.prober, platform.vps, platform.schedule)
         if ranges is None:
             ranges = [(0, plan.n_rounds)]
         for lo, hi in ranges:
             plan.emit_range(lo, hi)
         return plan, platform.prober.collector
 
-    def test_streamed_whole_range_matches_materialized(self):
-        _, want = self._collector(False, None)
-        _, got = self._collector(True, None)
-        assert_collectors_identical(got, want)
+    @pytest.fixture(scope="class")
+    def whole(self):
+        """One whole-range emission of the fault-window campaign."""
+        return self._collector(None)
+
+    def test_streamed_whole_range_matches_materialized(self, whole):
+        _, got = whole
+        assert_collectors_identical(got, run_scalar(fault_window_config()))
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_streamed_chunked_matches_materialized(self, chunk):
-        plan, want = self._collector(False, None)
+    def test_streamed_chunked_matches_materialized(self, whole, chunk):
+        plan, want = whole
         n = plan.n_rounds
         ranges = [(lo, min(lo + chunk, n)) for lo in range(0, n, chunk)]
-        _, got = self._collector(True, ranges)
+        _, got = self._collector(ranges)
         assert_collectors_identical(got, want)
 
-    def test_streamed_mid_campaign_start_matches(self):
-        """A resumed runner's first emit_range starts past round 0."""
-        plan, _ = self._collector(False, [])
+    def test_streamed_mid_campaign_start_matches(self, whole):
+        """A resumed shard's first emit_range starts past round 0: a
+        fresh plan over a collector restored to the round-k state
+        appends exactly the rest of the whole-range emission."""
+        plan, want = whole
         k, n = plan.n_rounds // 3, plan.n_rounds
-        _, want = self._collector(False, [(k, n)])
-        _, got = self._collector(True, [(k, n)])
-        assert_collectors_identical(got, want)
+        _, prefix = self._collector([(0, k)])
+        _, got = self._collector([(k, n)], state=prefix.state_dict())
+
+        def aggregates(collector):
+            return {
+                key: value
+                for key, value in collector.state_dict().items()
+                if key != "rows"
+            }
+
+        assert aggregates(got) == aggregates(want)
+        for getter in ("probe_columns", "traceroute_columns"):
+            head, tail, full = (
+                getattr(collector, getter)() for collector in (prefix, got, want)
+            )
+            for name in full:
+                assert np.array_equal(
+                    np.concatenate([head[name], tail[name]]), full[name]
+                ), name
+        observed = lambda obs: [
+            (o.vp_id, o.true_ts, o.observed_ts, o.serial, o.fault) for o in obs
+        ]
+        assert observed(prefix.transfers) + observed(got.transfers) == observed(
+            want.transfers
+        )
 
     def test_streamed_holds_no_epoch_lists_between_ranges(self):
-        plan, _ = self._collector(True, [(0, 4)])
-        assert plan.pairs == []
+        plan, _ = self._collector([(0, 4)])
         buffered = sum(len(p.stream._buffer) for p in plan._pair_streams)
         # Only epochs still open past the range boundary stay buffered —
         # at most the boundary-spanning gap epoch plus the excursion
@@ -185,6 +217,6 @@ class TestStreamedPlan:
         assert buffered <= 2 * len(plan._pair_streams)
 
     def test_streamed_rejects_descending_ranges(self):
-        plan, _ = self._collector(True, [(0, 8)])
+        plan, _ = self._collector([(0, 8)])
         with pytest.raises(ValueError, match="cannot rewind"):
             plan.emit_range(4, 12)
