@@ -129,11 +129,7 @@ def child_main(scale: str, shards: int, workers: int) -> int:
     """One measured variant; prints a JSON result line for the parent."""
     import pickle
 
-    from repro.core.pipeline import (
-        StudyPipeline,
-        _run_sharded,
-        last_spill_stats,
-    )
+    from repro.core.pipeline import ShardRunner, StudyPipeline, last_spill_stats
 
     config = make_config(scale)
     if shards > 1:
@@ -176,7 +172,10 @@ def child_main(scale: str, shards: int, workers: int) -> int:
         # (untimed) to size it — run_campaign does not retain them.
         world = pipeline.store.get("world")
         platform_artifacts = pipeline.store.get("platform")
-        shard_collectors = _run_sharded(config, world, platform_artifacts)
+        with ShardRunner(config, world, platform_artifacts) as runner:
+            shard_collectors = runner.advance(
+                0, platform_artifacts.expected_rounds
+            )
         result["handoff_pickle_bytes"] = sum(
             len(pickle.dumps(c, protocol=pickle.HIGHEST_PROTOCOL))
             for c in shard_collectors

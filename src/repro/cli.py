@@ -202,6 +202,8 @@ def _study_config(parser: argparse.ArgumentParser, args):
         label = f"preset={args.preset}"
     if args.shards < 1 or args.workers < 1:
         parser.error("--shards and --workers must be >= 1")
+    if args.workers > 1 and args.shards == 1:
+        parser.error("--workers > 1 requires --shards > 1")
     if args.shards > 1 or args.workers > 1:
         config = config.with_sharding(args.shards, workers=args.workers)
     return config, label

@@ -1,9 +1,6 @@
 """The staged study pipeline: build_world → build_platform → run_campaign → analyze.
 
-:class:`~repro.core.study.RootStudy` used to derive the whole world in one
-monolithic constructor and run strictly serially through a single
-in-memory collector.  This module splits that flow into four explicit,
-individually timed stages over a typed artifact store:
+Four explicit, individually timed stages over a typed artifact store:
 
 * **build_world** — sites, routing fabric, zone machinery, deployments.
   Worlds depend only on the seed and are checkpointed in a module-level
@@ -12,13 +9,16 @@ individually timed stages over a typed artifact store:
 * **build_platform** — schedule, route selector, VP ring, fault plan,
   collector and prober (the full measurement platform).
 * **run_campaign** — executes the campaign on the epoch-compiled engine
-  (:mod:`repro.vantage.epoch_engine`).  With ``config.shards > 1``
-  the VP ring is partitioned and each shard probed against its own
-  :class:`~repro.vantage.collector.CampaignCollector`; the shard
-  collectors are then recombined with
+  (:mod:`repro.vantage.epoch_engine`) through a :class:`ShardRunner`,
+  the one shard executor under this batch path and the streamed
+  checkpoint path (:mod:`repro.core.streaming`).  With
+  ``config.shards > 1`` the VP ring is partitioned and each shard probed
+  against its own :class:`~repro.vantage.collector.CampaignCollector`;
+  the shard collectors are then recombined with
   :meth:`~repro.vantage.collector.CampaignCollector.merge`, which is
   guaranteed to reproduce the serial run byte-for-byte.  With
-  ``config.workers > 1`` the shards run on a ``ProcessPoolExecutor``.
+  ``config.workers > 1`` the shards run on a ``ProcessPoolExecutor`` and
+  come home as memory-mapped spills (:mod:`repro.data.spill`).
 * **analyze** — runs analyses by name through
   :mod:`repro.analysis.registry`.
 
@@ -36,9 +36,9 @@ import shutil
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.config import StudyConfig
 from repro.core.results import StudyResults
@@ -51,7 +51,7 @@ from repro.rss.server import RootServerDeployment
 from repro.rss.sites import SiteCatalog, build_site_catalog
 from repro.util.rng import RngFactory
 from repro.vantage.collector import CampaignCollector
-from repro.vantage.epoch_engine import EpochCampaignPlan, run_epoch_campaign
+from repro.vantage.epoch_engine import EpochCampaignPlan
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import Prober, SamplingPolicy
 from repro.vantage.ring import build_ring
@@ -307,128 +307,6 @@ def shard_vp_lists(
     return [list(vps[i::shards]) for i in range(shards)]
 
 
-#: Per-worker-process study config, installed once by the pool
-#: initializer so shard tasks ship only ``(shard_index, spill_root)``
-#: instead of re-pickling the config (and, transitively, nothing of the
-#: parent's world or platform) per task.
-_WORKER_CONFIG: Optional[StudyConfig] = None
-
-
-def _init_shard_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
-    """Pool initializer: install the worker-process study config.
-
-    *config_values* is a plain ``asdict()`` of primitives — the only
-    payload that crosses the pipe at pool setup.  Worlds are NOT shipped:
-    each worker derives its own through the seed-keyed module cache
-    (``_WORLD_CACHE``), so repeated shard tasks in one worker reuse one
-    world build.  *owner_pid* arms the orphan watchdog: workers must not
-    outlive the campaign process that owns the pool.
-    """
-    from repro.util.procutil import exit_when_orphaned
-
-    global _WORKER_CONFIG
-    _WORKER_CONFIG = StudyConfig(**config_values)
-    exit_when_orphaned(owner_pid)
-
-
-def _run_shard_spill_job(shard_index: int, spill_root: str) -> Dict[str, Any]:
-    """Worker-process entry: run one shard and spill it to disk.
-
-    Returns only the spill path plus a summary — the collector's numpy
-    buffers and zone graphs never transit the process-pool pipe.  The
-    parent memory-maps the spill back via
-    :func:`repro.data.spill.read_shard_spill`.
-    """
-    config = _WORKER_CONFIG
-    if config is None:
-        raise RuntimeError(
-            "shard worker used before _init_shard_worker installed its config"
-        )
-    serial_config = config.serial()
-    world = build_world(serial_config)
-    platform = build_platform(serial_config, world)
-    world.distributor.reset_faults()
-    shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
-    run_epoch_campaign(platform.prober, shard_vps, platform.schedule)
-
-    from repro.data.spill import write_shard_spill
-
-    spill_dir = write_shard_spill(
-        Path(spill_root) / f"shard-{shard_index:03d}", platform.collector
-    )
-    import resource
-
-    rusage = resource.getrusage(resource.RUSAGE_SELF)
-    return {
-        "shard": shard_index,
-        "spill_dir": str(spill_dir),
-        "summary": platform.collector.summary(),
-        # worker-process CPU accounting: forkserver workers are children
-        # of the forkserver daemon, not of the parent, so the parent's
-        # RUSAGE_CHILDREN never sees them — report it ourselves.
-        "worker_pid": os.getpid(),
-        "worker_cpu_seconds": rusage.ru_utime + rusage.ru_stime,
-    }
-
-
-#: Handoff accounting for the most recent multiprocess campaign in this
-#: process: ``{"shards", "payload_bytes", "spill_bytes", "spill_dirs"}``.
-#: Benchmarks and CI read it to prove the spill path ran (spill_bytes >
-#: 0) and to size the new handoff against the old pickled-collector one.
-_LAST_SPILL_STATS: Optional[Dict[str, Any]] = None
-
-
-def last_spill_stats() -> Optional[Dict[str, Any]]:
-    """Stats for the last multiprocess campaign (None if none ran)."""
-    return _LAST_SPILL_STATS
-
-
-def _run_multiprocess(
-    config: StudyConfig, spill_root: Path
-) -> List[CampaignCollector]:
-    """Run every shard on a process pool with mmap spill handoff.
-
-    The pool uses the pinned start method (forkserver preferred, spawn
-    fallback — never fork), ships the config once per worker via the
-    initializer, and receives back per-shard spill *paths*; the heavy
-    row buffers come home through the filesystem, memory-mapped.
-    """
-    global _LAST_SPILL_STATS
-    from repro.data.spill import read_shard_spill, spill_nbytes
-    from repro.util.procutil import mp_context, pool_width
-
-    processes = pool_width(config.workers, config.shards)
-    with ProcessPoolExecutor(
-        max_workers=processes,
-        mp_context=mp_context(preload=("repro.core.pipeline",)),
-        initializer=_init_shard_worker,
-        initargs=(asdict(config), os.getpid()),
-    ) as pool:
-        futures = [
-            pool.submit(_run_shard_spill_job, index, str(spill_root))
-            for index in range(config.shards)
-        ]
-        results = [future.result() for future in futures]
-
-    worker_cpu: Dict[int, float] = {}
-    for result in results:
-        pid = result["worker_pid"]
-        # rusage is cumulative per process; with task reuse the last
-        # task's reading covers the earlier ones too
-        worker_cpu[pid] = max(worker_cpu.get(pid, 0.0), result["worker_cpu_seconds"])
-    _LAST_SPILL_STATS = {
-        "shards": config.shards,
-        "pool_processes": processes,
-        "payload_bytes": sum(
-            len(json.dumps(result).encode()) for result in results
-        ),
-        "spill_bytes": sum(spill_nbytes(r["spill_dir"]) for r in results),
-        "spill_dirs": [r["spill_dir"] for r in results],
-        "worker_cpu_seconds": round(sum(worker_cpu.values()), 2),
-    }
-    return [read_shard_spill(result["spill_dir"]) for result in results]
-
-
 def shard_plan(
     world: WorldArtifacts,
     platform: PlatformArtifacts,
@@ -436,8 +314,7 @@ def shard_plan(
     collector: CampaignCollector,
 ) -> EpochCampaignPlan:
     """One shard's campaign plan over *platform*, emitting into its own
-    *collector* (the batch path emits it whole, the streaming path one
-    chunk at a time)."""
+    *collector*."""
     prober = Prober(
         fabric=world.fabric,
         selector=platform.selector,
@@ -449,18 +326,217 @@ def shard_plan(
     return EpochCampaignPlan(prober, list(vps), platform.schedule)
 
 
-def _run_sharded(
-    config: StudyConfig, world: WorldArtifacts, platform: PlatformArtifacts
-) -> List[CampaignCollector]:
-    """Run every shard in-process; returns the per-shard collectors in
-    shard order."""
-    collectors: List[CampaignCollector] = []
-    for shard_vps in shard_vp_lists(platform.vps, config.shards):
+#: Per-worker-process pool state: the study config installed by the
+#: initializer, and the live shard plans keyed by shard index with the
+#: round each has reached.  ProcessPoolExecutor does not pin tasks to
+#: workers, so a cached plan is only reused when its position matches
+#: the requested ``lo`` — a reassigned shard rebuilds its plan from the
+#: shipped state dict (correct always, cheap in the common pinned case).
+_POOL_CONFIG: Optional[StudyConfig] = None
+_POOL_PLANS: Dict[int, Tuple[EpochCampaignPlan, int]] = {}
+
+
+def _init_pool_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
+    """Pool initializer: install the worker-process study config.
+
+    *config_values* is a plain ``asdict()`` of primitives — the only
+    payload that crosses the pipe at pool setup.  Worlds are NOT shipped:
+    each worker derives its own through the seed-keyed module cache
+    (``_WORLD_CACHE``).  *owner_pid* arms the orphan watchdog: a
+    SIGKILLed campaign must not leave workers blocked on the call queue
+    holding its inherited file descriptors.
+    """
+    from repro.util.procutil import exit_when_orphaned
+
+    global _POOL_CONFIG
+    _POOL_CONFIG = StudyConfig(**config_values)
+    _POOL_PLANS.clear()
+    exit_when_orphaned(owner_pid)
+
+
+def _advance_shard(
+    shard: int, lo: int, hi: int, state: Optional[Dict], spill_root: str
+) -> Dict[str, Any]:
+    """Worker-process entry: advance one shard over ``[lo, hi)`` and
+    spill the rows.
+
+    *state* is the shard's aggregate state at round ``lo``; a cached
+    plan already at ``lo`` advances directly, anything else rebuilds
+    world, platform and plan from the seed-keyed world cache plus the
+    state.  Rows cross back through the spill, which the parent
+    memory-maps (:func:`repro.data.spill.read_shard_spill`) — only this
+    small dict transits the pool pipe.
+    """
+    import resource
+
+    from repro.data.spill import write_shard_spill
+
+    config = _POOL_CONFIG
+    cached = _POOL_PLANS.get(shard)
+    if cached is not None and cached[1] == lo:
+        plan = cached[0]
+    else:
+        serial_config = config.serial()
+        world = build_world(serial_config)
+        platform = build_platform(serial_config, world)
         world.distributor.reset_faults()
-        plan = shard_plan(world, platform, shard_vps, CampaignCollector())
-        plan.emit_range(0, plan.n_rounds)
-        collectors.append(plan.collector)
-    return collectors
+        collector = CampaignCollector()
+        if state is not None:
+            collector.restore_state_dict(state)
+        vps = shard_vp_lists(platform.vps, config.shards)[shard]
+        plan = shard_plan(world, platform, vps, collector)
+    plan.emit_range(lo, hi)
+    spill_dir = write_shard_spill(
+        Path(spill_root) / f"rounds-{lo:05d}-shard-{shard:03d}", plan.collector
+    )
+    # Drain so the next advance spills only its own rows; the
+    # aggregates stay cumulative, exactly like an in-process shard.
+    plan.collector.drain_rows()
+    _POOL_PLANS[shard] = (plan, hi)
+    rusage = resource.getrusage(resource.RUSAGE_SELF)
+    return {
+        "shard": shard,
+        "spill_dir": str(spill_dir),
+        # forkserver workers are children of the forkserver daemon, not
+        # of the parent, so the parent's RUSAGE_CHILDREN never sees them
+        "worker_pid": os.getpid(),
+        "worker_cpu_seconds": rusage.ru_utime + rusage.ru_stime,
+    }
+
+
+#: Handoff accounting for the most recent campaign in this process when
+#: it ran on a pool (``None`` otherwise): ``{"shards", "pool_processes",
+#: "payload_bytes", "spill_bytes", "spill_dirs", "worker_cpu_seconds"}``,
+#: summed over every shard task.  Benchmarks and tests read it to prove
+#: the spill path ran (spill_bytes > 0) and the pipe stayed small.
+_LAST_SPILL_STATS: Optional[Dict[str, Any]] = None
+
+
+def last_spill_stats() -> Optional[Dict[str, Any]]:
+    """Stats for the last campaign's pool handoff (None if it ran
+    in-process)."""
+    return _LAST_SPILL_STATS
+
+
+class ShardRunner:
+    """Advances every shard of a campaign over ascending round ranges.
+
+    :meth:`advance` returns one collector per shard holding the rows of
+    the requested range plus the shard's cumulative aggregates.  With
+    ``workers == 1`` the shard plans run in this process (a single shard
+    emits straight into ``platform.collector``); with ``workers > 1`` and
+    several shards they run on a process pool through
+    :func:`_advance_shard`, and each shard's rows come home as an mmap
+    spill.  *shard_states* resumes every shard from a checkpointed
+    aggregate state.  Close the runner (or use it as a context manager)
+    when the campaign ends: that joins the pool and deletes the spill
+    root.
+    """
+
+    def __init__(
+        self,
+        config: StudyConfig,
+        world: WorldArtifacts,
+        platform: PlatformArtifacts,
+        shard_states: Optional[Sequence[Dict]] = None,
+    ) -> None:
+        global _LAST_SPILL_STATS
+        _LAST_SPILL_STATS = None
+        world.distributor.reset_faults()
+        self.shards = config.shards
+        self._states = list(shard_states or [None] * self.shards)
+        self._pool: Optional[ProcessPoolExecutor] = None
+        if config.workers > 1 and self.shards > 1:
+            from repro.data.spill import spill_tempdir
+            from repro.util.procutil import mp_context, pool_width
+
+            processes = pool_width(config.workers, self.shards)
+            self._spill_root = spill_tempdir("rootsim-spill-")
+            self._worker_cpu: Dict[int, float] = {}
+            self._stats: Dict[str, Any] = {
+                "shards": self.shards,
+                "pool_processes": processes,
+                "payload_bytes": 0,
+                "spill_bytes": 0,
+                "spill_dirs": [],
+                "worker_cpu_seconds": 0.0,
+            }
+            _LAST_SPILL_STATS = self._stats
+            self._pool = ProcessPoolExecutor(
+                max_workers=processes,
+                mp_context=mp_context(preload=("repro.core.pipeline",)),
+                initializer=_init_pool_worker,
+                initargs=(asdict(config), os.getpid()),
+            )
+            return
+        collectors = (
+            [platform.collector]
+            if self.shards == 1
+            else [CampaignCollector() for _ in range(self.shards)]
+        )
+        for collector, state in zip(collectors, self._states):
+            if state is not None:
+                collector.restore_state_dict(state)
+        self._plans = [
+            shard_plan(world, platform, vps, collector)
+            for vps, collector in zip(
+                shard_vp_lists(platform.vps, self.shards), collectors
+            )
+        ]
+
+    def advance(self, lo: int, hi: int) -> List[CampaignCollector]:
+        """Run rounds ``[lo, hi)`` on every shard; the per-shard
+        collectors, in shard order."""
+        if self._pool is None:
+            for plan in self._plans:
+                plan.emit_range(lo, hi)
+            return [plan.collector for plan in self._plans]
+
+        from repro.data.spill import read_shard_spill, spill_nbytes
+
+        futures = [
+            self._pool.submit(
+                _advance_shard, shard, lo, hi, self._states[shard],
+                str(self._spill_root),
+            )
+            for shard in range(self.shards)
+        ]
+        results = [future.result() for future in futures]
+        spill_dirs = [result["spill_dir"] for result in results]
+        stats = self._stats
+        for result in results:
+            # rusage is cumulative per process; with task reuse the
+            # latest reading covers the earlier ones too
+            pid = result["worker_pid"]
+            self._worker_cpu[pid] = max(
+                self._worker_cpu.get(pid, 0.0), result["worker_cpu_seconds"]
+            )
+            stats["payload_bytes"] += len(json.dumps(result).encode())
+            stats["spill_bytes"] += spill_nbytes(result["spill_dir"])
+        stats["spill_dirs"] += spill_dirs
+        stats["worker_cpu_seconds"] = round(sum(self._worker_cpu.values()), 2)
+        collectors = [read_shard_spill(d) for d in spill_dirs]
+        # The reload memory-maps every table and reads the transfer
+        # metadata and zone pack into memory, so the files can go now:
+        # the mappings keep their pages until the collectors are dropped,
+        # and a parent killed between ranges leaves no spill data behind.
+        for spill_dir in spill_dirs:
+            shutil.rmtree(spill_dir, ignore_errors=True)
+        self._states = [collector.state_dict() for collector in collectors]
+        return collectors
+
+    def close(self) -> None:
+        """Join the pool and delete its spill root (idempotent)."""
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+            shutil.rmtree(self._spill_root, ignore_errors=True)
+
+    def __enter__(self) -> "ShardRunner":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
 
 def run_campaign(
@@ -468,30 +544,11 @@ def run_campaign(
 ) -> CampaignCollector:
     """Execute the campaign (serial, sharded, or multiprocess) and leave
     the merged collector on the platform."""
-    world.distributor.reset_faults()
-    if config.shards <= 1:
-        run_epoch_campaign(platform.prober, platform.vps, platform.schedule)
-        return platform.collector
-    if config.workers > 1:
-        from repro.data.spill import spill_tempdir
-
-        spill_root = spill_tempdir("rootsim-spill-")
-        try:
-            shard_collectors = _run_multiprocess(config, spill_root)
-            world.distributor.reset_faults()
-            # merge copies every row out of the mmapped spill views, and
-            # the reload already pulled the transfer metadata and zone
-            # pack bytes into memory, so the spill directory is safe to
-            # delete once the merge returns.
-            merged = CampaignCollector.merge(shard_collectors)
-        finally:
-            shutil.rmtree(spill_root, ignore_errors=True)
-        platform.collector = merged
-        platform.prober.collector = merged
-        return merged
-    shard_collectors = _run_sharded(config, world, platform)
-    world.distributor.reset_faults()
-    merged = CampaignCollector.merge(shard_collectors)
+    with ShardRunner(config, world, platform) as runner:
+        collectors = runner.advance(0, platform.expected_rounds)
+        if len(collectors) == 1:
+            return collectors[0]
+        merged = CampaignCollector.merge(collectors)
     platform.collector = merged
     platform.prober.collector = merged
     return merged

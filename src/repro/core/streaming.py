@@ -1,14 +1,13 @@
 """Round-incremental campaign execution with checkpoint/resume.
 
-The batch pipeline (:mod:`repro.core.pipeline`) holds the whole campaign
-in one collector and seals it at the end.  This module runs the same
-campaign **in round ranges**: every ``checkpoint_every`` rounds the new
-rows are folded out of the shard collectors, sealed into a columnar
+The campaign runs **in round ranges**: every ``checkpoint_every`` rounds
+the :class:`~repro.core.pipeline.ShardRunner` advances each shard, the
+new rows are merged out of the shard collectors, sealed into a columnar
 chunk on disk (:mod:`repro.data.chunks`), and the crash-safe
 ``CHECKPOINT.json`` is atomically replaced.  Peak memory is bounded by
 one chunk instead of the campaign, and a killed run resumes from the
 last sealed chunk — producing a finalized dataset byte-identical to an
-uninterrupted batch run (DESIGN.md §11).
+uninterrupted run's ``StudyResults.save`` (DESIGN.md §11).
 
 Why resume is exact: every shard advances an
 :class:`~repro.vantage.epoch_engine.EpochCampaignPlan`, which is
@@ -17,11 +16,10 @@ restored collector aggregates — it advances no churn state and never
 touches the distributor's freeze state — so no process state survives a
 crash that the checkpoint does not carry.
 
-Sharding composes with streaming exactly like with the batch path: every
-shard advances the same round range over its disjoint VP subset, and
-:meth:`CampaignCollector.merge` folds the shard collectors — whose row
-tables hold only the current chunk, earlier rows having been drained to
-disk — into the chunk's globally-ordered rows plus the cumulative
+Every shard advances the same round range over its disjoint VP subset,
+and :meth:`CampaignCollector.merge` folds the shard collectors — whose
+row tables hold only the current chunk, earlier rows having been drained
+to disk — into the chunk's globally-ordered rows plus the cumulative
 aggregate state.  Timestamps ascend strictly across chunks, so
 concatenating per-chunk merges reproduces the whole-campaign merge.
 """
@@ -29,22 +27,14 @@ concatenating per-chunk merges reproduces the whole-campaign merge.
 from __future__ import annotations
 
 import json
-import os
-import shutil
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.core.config import StudyConfig
-from repro.core.pipeline import (
-    build_platform,
-    build_world,
-    shard_plan,
-    shard_vp_lists,
-)
+from repro.core.pipeline import ShardRunner, build_platform, build_world
 from repro.data.chunks import (
     CheckpointReader,
     ChunkData,
@@ -54,7 +44,6 @@ from repro.data.chunks import (
 )
 from repro.data.schema import CheckpointError
 from repro.vantage.collector import CampaignCollector
-from repro.vantage.epoch_engine import EpochCampaignPlan
 
 
 #: Called after every sealed chunk: (chunk_index, chunk_dir, lo, hi).
@@ -84,80 +73,6 @@ def _config_fingerprint(config: StudyConfig) -> dict:
     """The config as it appears in a checkpoint (JSON round-tripped, so
     comparisons against a reloaded checkpoint are exact)."""
     return json.loads(json.dumps(asdict(config)))
-
-
-# --- multiprocess shard workers ------------------------------------------------------
-
-#: Per-worker-process streaming state: the study config installed by the
-#: pool initializer, and a cache of live shard plans keyed by shard
-#: index.  ProcessPoolExecutor does not pin tasks to workers, so a cache
-#: entry is only reused when its recorded position matches the requested
-#: ``lo`` — a reassigned shard rebuilds its plan from the shipped
-#: state dict (correct always, cheap in the common pinned case).
-_STREAM_CONFIG: Optional[StudyConfig] = None
-_STREAM_PLANS: Dict[int, Tuple[EpochCampaignPlan, int]] = {}
-
-
-def _init_stream_worker(config_values: Dict[str, Any], owner_pid: int) -> None:
-    """Pool initializer: install the worker-process study config.
-
-    *owner_pid* arms the orphan watchdog — a SIGKILLed campaign (the
-    crash-injection tests) must not leave workers blocked on the call
-    queue holding its inherited file descriptors.
-    """
-    from repro.util.procutil import exit_when_orphaned
-
-    global _STREAM_CONFIG
-    _STREAM_CONFIG = StudyConfig(**config_values)
-    _STREAM_PLANS.clear()
-    exit_when_orphaned(owner_pid)
-
-
-def _advance_stream_shard(
-    shard_index: int, lo: int, hi: int, state: Dict, spill_root: str
-) -> Dict[str, Any]:
-    """Worker-process entry: advance one shard over ``[lo, hi)`` and
-    spill the chunk's rows.
-
-    The shipped *state* is the shard's aggregate state after round
-    ``lo`` was sealed; a cached plan already carrying that state (its
-    position matches ``lo``) advances directly, anything else rebuilds
-    world, platform and plan from the per-process seed-keyed world
-    cache plus the state dict.  Rows cross back to the parent through
-    the spill — only this path string and the shard index transit the
-    pool pipe.
-    """
-    config = _STREAM_CONFIG
-    if config is None:
-        raise RuntimeError(
-            "stream worker used before _init_stream_worker installed its config"
-        )
-    cached = _STREAM_PLANS.get(shard_index)
-    if cached is not None and cached[1] == lo:
-        plan = cached[0]
-    else:
-        serial_config = config.serial()
-        world = build_world(serial_config)
-        platform = build_platform(serial_config, world)
-        world.distributor.reset_faults()
-        shard_vps = shard_vp_lists(platform.vps, config.shards)[shard_index]
-        collector = CampaignCollector()
-        collector.restore_state_dict(state)
-        plan = shard_plan(world, platform, shard_vps, collector)
-
-    plan.emit_range(lo, hi)
-
-    from repro.data.spill import write_shard_spill
-
-    spill_dir = write_shard_spill(
-        Path(spill_root) / f"rounds-{lo:05d}-shard-{shard_index:03d}",
-        plan.collector,
-    )
-    # Drain so the next advance appends only its own chunk's rows; the
-    # aggregates stay cumulative, exactly like the in-process path.
-    plan.collector.drain_rows()
-    _STREAM_PLANS[shard_index] = (plan, hi)
-    return {"shard": shard_index, "spill_dir": str(spill_dir)}
 
 
 # --- chunk delta extraction ----------------------------------------------------------
@@ -227,14 +142,12 @@ def run_streaming_campaign(
 
     world = build_world(config)
     platform = build_platform(config, world)
-    world.distributor.reset_faults()
     n_rounds = platform.expected_rounds
-    shard_vps = shard_vp_lists(platform.vps, config.shards)
     study = _config_fingerprint(config)
 
     writer = ChunkedDatasetWriter(checkpoint_dir)
     global_state = CampaignCollector()
-    shard_collectors = [CampaignCollector() for _ in shard_vps]
+    shard_states: Optional[List[Dict]] = None
 
     if resume:
         ckpt = writer.resume()
@@ -249,52 +162,24 @@ def run_streaming_campaign(
                 f"{ckpt['n_rounds']} rounds / {ckpt['shards']} shards vs "
                 f"{n_rounds} / {config.shards}"
             )
-        if len(ckpt["shard_states"]) != len(shard_collectors):
+        shard_states = ckpt["shard_states"]
+        if len(shard_states) != config.shards:
             raise CheckpointError(
                 f"checkpoint at {writer.path} carries "
-                f"{len(ckpt['shard_states'])} shard states for "
-                f"{len(shard_collectors)} shards"
+                f"{len(shard_states)} shard states for "
+                f"{config.shards} shards"
             )
         global_state.restore_state_dict(ckpt["state"])
-        for collector, state in zip(shard_collectors, ckpt["shard_states"]):
-            collector.restore_state_dict(state)
     else:
+        fresh = global_state.state_dict()
         writer.start(
             study=study,
             addresses=[sa.address for sa in global_state.addresses],
             shards=config.shards,
             n_rounds=n_rounds,
-            state=global_state.state_dict(),
-            shard_states=[c.state_dict() for c in shard_collectors],
+            state=fresh,
+            shard_states=[fresh] * config.shards,
         )
-
-    rounds_done = writer.rounds_done
-    use_workers = config.workers > 1 and config.shards > 1
-    pool: Optional[ProcessPoolExecutor] = None
-    spill_root: Optional[Path] = None
-    plans: List[EpochCampaignPlan] = []
-    shard_states: List[Dict] = []
-    if use_workers:
-        # Shards advance on worker processes; each chunk comes home as a
-        # per-shard mmap spill, merged columnar-ly here at seal time.
-        # The shipped per-task payload is (shard, range, state dict);
-        # returned payload is the spill path.
-        from repro.data.spill import spill_tempdir
-        from repro.util.procutil import mp_context, pool_width
-
-        shard_states = [c.state_dict() for c in shard_collectors]
-        spill_root = spill_tempdir("rootsim-stream-spill-")
-        pool = ProcessPoolExecutor(
-            max_workers=pool_width(config.workers, config.shards),
-            mp_context=mp_context(preload=("repro.core.streaming",)),
-            initializer=_init_stream_worker,
-            initargs=(asdict(config), os.getpid()),
-        )
-    else:
-        plans = [
-            shard_plan(world, platform, vps, collector)
-            for vps, collector in zip(shard_vps, shard_collectors)
-        ]
 
     prev_counts = global_state.change_counts()
     prev_idents = _snapshot_identities(global_state)
@@ -302,33 +187,11 @@ def run_streaming_campaign(
     prev_total = global_state.transfer_total
     prev_clean = global_state.transfer_clean
 
-    try:
-        lo = rounds_done
+    with ShardRunner(config, world, platform, shard_states) as runner:
+        lo = writer.rounds_done
         while lo < n_rounds:
             hi = min(lo + checkpoint_every, n_rounds)
-            spill_dirs: List[str] = []
-            if use_workers:
-                from repro.data.spill import read_shard_spill
-
-                futures = [
-                    pool.submit(
-                        _advance_stream_shard,
-                        index,
-                        lo,
-                        hi,
-                        shard_states[index],
-                        str(spill_root),
-                    )
-                    for index in range(len(shard_collectors))
-                ]
-                results = [future.result() for future in futures]
-                spill_dirs = [r["spill_dir"] for r in results]
-                chunk_collectors = [read_shard_spill(d) for d in spill_dirs]
-            else:
-                for plan in plans:
-                    plan.emit_range(lo, hi)
-                chunk_collectors = shard_collectors
-
+            chunk_collectors = runner.advance(lo, hi)
             merged = CampaignCollector.merge(chunk_collectors)
             probes, traceroutes, transfers = merged.drain_rows()
             chunk = ChunkData(
@@ -345,15 +208,12 @@ def run_streaming_campaign(
             )
             for collector in chunk_collectors:
                 collector.drain_rows()
-            shard_states = [c.state_dict() for c in chunk_collectors]
             chunk_index = len(writer.checkpoint["chunks"])
             chunk_dir = writer.seal_chunk(
                 chunk,
                 state=merged.state_dict(),
-                shard_states=shard_states,
+                shard_states=[c.state_dict() for c in chunk_collectors],
             )
-            for spill_dir in spill_dirs:
-                shutil.rmtree(spill_dir, ignore_errors=True)
 
             global_state = merged
             prev_counts = global_state.change_counts()
@@ -364,11 +224,6 @@ def run_streaming_campaign(
             lo = hi
             if after_chunk is not None:
                 after_chunk(chunk_index, chunk_dir, chunk.round_lo, hi)
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
-        if spill_root is not None:
-            shutil.rmtree(spill_root, ignore_errors=True)
 
     return StreamingRun(
         config=config,
@@ -388,7 +243,6 @@ def finalize_streaming_campaign(
     out_dir: Union[str, Path],
     *,
     passive: bool = True,
-    passive_engine: str = "vectorized",
 ) -> Path:
     """Turn a fully-sealed checkpoint into a normal dataset directory.
 
@@ -421,7 +275,7 @@ def finalize_streaming_campaign(
                 aggregates[name] = read_passive_aggregate(writer.path, name)
             else:
                 aggregates[name] = build_capture(
-                    name, study_config.seed, passive_engine, traffic
+                    name, study_config.seed, traffic=traffic
                 )
                 write_passive_aggregate(writer.path, name, aggregates[name])
                 writer.note_passive_done(name)

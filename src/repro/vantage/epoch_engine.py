@@ -26,11 +26,10 @@ The engine is exposed as :class:`EpochCampaignPlan`: each pair's route
 epochs are streamed (:class:`~repro.netsim.epochs.PairEpochStream`), and
 :meth:`~EpochCampaignPlan.emit_range` executes any ascending round range
 ``[lo, hi)`` — the streaming checkpoint path drives it one chunk at a
-time, and :func:`run_epoch_campaign` (the batch path) is simply the
-single range ``[0, n_rounds)``.  Every per-round draw is keyed by the
-round number (counter-based mixing, no sequential RNG state), so the
-concatenation of range emissions is byte-identical to one whole-campaign
-emission — and a resumed run is byte-identical to an uninterrupted one.
+time, and a batch run is simply the single range ``[0, n_rounds)``.
+Every per-round draw is keyed by the round number (counter-based mixing,
+no sequential RNG state), so the concatenation of range emissions is
+byte-identical to one whole-campaign emission — and a resumed run is byte-identical to an uninterrupted one.
 
 Output is **byte-identical** to a cell-by-cell scan of the Appendix F
 loop — same summary, same interner contents in the same order, same
@@ -55,7 +54,7 @@ from repro.geo.coords import RTT_MS_PER_KM
 from repro.netsim.epochs import PairEpochStream
 from repro.netsim.latency import JITTER, PER_HOP_MS
 from repro.netsim.mix import mix64_array, mix64_prefix, mix_float_array
-from repro.vantage.collector import CampaignCollector, TransferObservation
+from repro.vantage.collector import TransferObservation
 from repro.vantage.node import VantagePoint
 from repro.vantage.probes import (
     Prober,
@@ -597,17 +596,3 @@ class EpochCampaignPlan:
             fault_detail=fault_detail,
         )
 
-
-def run_epoch_campaign(
-    prober: Prober,
-    vps: List[VantagePoint],
-    schedule: MeasurementSchedule,
-) -> CampaignCollector:
-    """Run the whole campaign as one range; returns the collector.
-
-    It advances no churn state and never mutates the distributor's
-    freeze state, so it composes freely with in-process sharding.
-    """
-    plan = EpochCampaignPlan(prober, vps, schedule)
-    plan.emit_range(0, plan.n_rounds)
-    return prober.collector

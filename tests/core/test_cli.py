@@ -138,6 +138,13 @@ class TestStudyCli:
             capsys.readouterr().err
         )
 
+    @pytest.mark.parametrize("mode", [[], ["--checkpoint", "somewhere"]])
+    def test_workers_without_shards_rejected(self, mode, capsys):
+        # one shard has nothing to spread over worker processes
+        with pytest.raises(SystemExit):
+            study_main(mode + ["--workers", "2"])
+        assert "--workers > 1 requires --shards > 1" in capsys.readouterr().err
+
     def test_resume_without_checkpoint_fails_cleanly(self, tmp_path, capsys):
         code = study_main(["--resume", str(tmp_path / "missing")])
         assert code == 2

@@ -153,21 +153,29 @@ class TestSharding:
 
         study = RootStudy(tiny_config().with_sharding(2, workers=2))
         study.run()
-        assert study.collector.summary() == tiny_study.collector.summary()
-        assert study.collector.change_counts() == (
-            tiny_study.collector.change_counts()
-        )
-        ours, ref = study.collector.probe_columns(), (
-            tiny_study.collector.probe_columns()
-        )
-        for name in ours:
-            assert np.array_equal(ours[name], ref[name]), name
+        ours, ref = study.collector, tiny_study.collector
+        assert ours.summary() == ref.summary()
+        assert ours.change_counts() == ref.change_counts()
+        assert ours.state_dict() == ref.state_dict()
+        for columns in ("probe_columns", "traceroute_columns"):
+            mine, theirs = getattr(ours, columns)(), getattr(ref, columns)()
+            assert mine.keys() == theirs.keys()
+            for name in mine:
+                assert np.array_equal(mine[name], theirs[name]), (columns, name)
 
         # the collectors came home through spills, not the pool pipe
         stats = last_spill_stats()
         assert stats is not None and stats["shards"] == 2
         assert stats["spill_bytes"] > 0
         assert stats["payload_bytes"] < 4096
+
+    def test_spill_stats_reset_by_in_process_run(self):
+        from repro.core.pipeline import last_spill_stats
+
+        RootStudy(tiny_config().with_sharding(2, workers=2)).run()
+        assert last_spill_stats() is not None
+        RootStudy(tiny_config()).run()
+        assert last_spill_stats() is None
 
 
 class TestAnalyzeStage:

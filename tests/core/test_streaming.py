@@ -109,6 +109,25 @@ def test_multiprocess_streaming_matches_in_process(tmp_path):
     assert m1 == m2
 
 
+def test_multiprocess_streaming_reports_spill_stats(tmp_path):
+    """Every chunk task of a pooled streamed run hands its rows back
+    through a spill; the pipe carries only a small per-task dict."""
+    from repro.core.pipeline import last_spill_stats
+
+    run = run_streaming_campaign(
+        tiny_stream_config().with_sharding(2, workers=2),
+        tmp_path / "ckpt",
+        checkpoint_every=2,
+    )
+    stats = last_spill_stats()
+    assert stats is not None and stats["shards"] == 2
+    tasks = stats["shards"] * run.chunks
+    assert len(stats["spill_dirs"]) == tasks
+    assert stats["spill_bytes"] > 0
+    assert stats["worker_cpu_seconds"] > 0
+    assert stats["payload_bytes"] < 4096 * tasks
+
+
 def test_checkpoint_every_must_be_positive(tmp_path):
     with pytest.raises(ValueError, match="checkpoint_every"):
         run_streaming_campaign(

@@ -88,7 +88,7 @@ class TestAnalyzeCli:
         monkeypatch.setattr(pipeline, "build_world", _boom)
         monkeypatch.setattr(pipeline, "build_platform", _boom)
         monkeypatch.setattr(pipeline, "run_campaign", _boom)
-        monkeypatch.setattr(pipeline, "run_epoch_campaign", _boom)
+        monkeypatch.setattr(pipeline, "ShardRunner", _boom)
 
     def test_listing(self, saved, capsys):
         assert analyze_main([str(saved)]) == 0

@@ -14,11 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
-    _run_sharded,
-    build_platform,
-    build_world,
-)
+from repro.core.pipeline import ShardRunner, build_platform, build_world
 from repro.data import DatasetError
 from repro.data.spill import (
     SPILL_NAME,
@@ -37,8 +33,8 @@ def shard_collectors():
     config = tiny_config().with_sharding(2)
     world = build_world(config)
     platform = build_platform(config, world)
-    world.distributor.reset_faults()
-    return _run_sharded(config, world, platform)
+    with ShardRunner(config, world, platform) as runner:
+        return runner.advance(0, platform.expected_rounds)
 
 
 def test_round_trip_preserves_rows_and_state(shard_collectors, tmp_path):

@@ -167,11 +167,7 @@ class TestCampaignShardCounts:
     def test_empty_shards_are_neutral_merge_inputs(self, serial_collector):
         """A shard that owned zero VPs contributes an empty collector;
         merging it in must not perturb the result."""
-        from repro.core.pipeline import (
-            _run_sharded,
-            build_platform,
-            build_world,
-        )
+        from repro.core.pipeline import ShardRunner, build_platform, build_world
         from repro.vantage.collector import CampaignCollector
 
         from tests.core.test_pipeline import tiny_config
@@ -179,8 +175,8 @@ class TestCampaignShardCounts:
         config = tiny_config().with_sharding(2)
         world = build_world(config)
         platform = build_platform(config, world)
-        world.distributor.reset_faults()
-        shard_collectors = _run_sharded(config, world, platform)
+        with ShardRunner(config, world, platform) as runner:
+            shard_collectors = runner.advance(0, platform.expected_rounds)
 
         empty = CampaignCollector()
         empty.rounds_processed = shard_collectors[0].rounds_processed
